@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke vet fmt-check docs-check bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke vet fmt-check docs-check golden bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ test:
 # shuffle seed is printed on failure for local reproduction.
 test-short:
 	$(GO) test -race -short -shuffle=on ./...
+
+# golden rewrites internal/congest/testdata/golden.json, the pinned
+# per-case fingerprints (rounds, messages, wakeups, marks, cut, side)
+# that TestGoldenFingerprints checks under serial and sharded delivery.
+# Run it only for a change that is meant to move them, and say why in
+# CHANGES.md.
+golden:
+	$(GO) test ./internal/congest -run '^TestGoldenFingerprints$$' -count=1 -update
 
 # fuzz-smoke runs each fuzz target for a short bounded burst — long
 # enough to exercise the mutator on the seed corpus, short enough for
