@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke vet fmt-check docs-check golden bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke vet fmt-check docs-check golden perfbench-check bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ vet:
 # (package distmincut, internal/service) must carry a doc comment.
 docs-check:
 	$(GO) run ./cmd/docscheck
+
+# perfbench-check vets and tests the benchmark module (perfbench/ is a
+# module of its own, so the root `go build ./...` never compiles it): a
+# change to a public API the benchmark uses fails here, not first in
+# `bash perfbench/run.sh`.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -112,4 +119,4 @@ bench-gate:
 		fi; \
 		rm -f BENCH_engine.baseline.json; exit $$status
 
-ci: fmt-check vet build test-short docs-check
+ci: fmt-check vet build perfbench-check test-short docs-check

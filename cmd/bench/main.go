@@ -23,11 +23,10 @@ func run() int {
 	quick := flag.Bool("quick", false, "small workloads (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "seed for workloads and protocols")
 	only := flag.String("only", "", "run a single experiment (E1..E9)")
-	workers := flag.Int("workers", 0, "bound concurrently executing node programs (0 = unbounded)")
 	shards := flag.Int("shards", 0, "run message delivery on this many shards (0 = serial; experiments already run concurrently)")
 	flag.Parse()
 
-	cfg := harness.Config{Quick: *quick, Seed: *seed, Workers: *workers, DeliveryShards: *shards}
+	cfg := harness.Config{Quick: *quick, Seed: *seed, DeliveryShards: *shards}
 	experiments := map[string]func(harness.Config) *harness.Table{
 		"E1": harness.E1Correctness,
 		"E2": harness.E2Scaling,

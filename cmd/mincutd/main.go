@@ -13,7 +13,7 @@
 // Usage:
 //
 //	mincutd [-addr :8371] [-pool 4] [-queue 256] [-cache 4096]
-//	        [-engine-workers 0] [-shards 0] [-checkpayload]
+//	        [-shards 0] [-checkpayload]
 //	        [-max-nodes 200000] [-max-edges 2000000] [-drain 30s]
 //	        [-default-deadline 0] [-max-job-rounds 0]
 //	        [-admit-ceiling 0] [-admit-downtier]
@@ -109,7 +109,6 @@ func run() int {
 	pool := flag.Int("pool", 0, "concurrent protocol runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "max queued jobs before 503")
 	cacheEntries := flag.Int("cache", 4096, "result cache entries")
-	engineWorkers := flag.Int("engine-workers", 0, "CONGEST runtime worker lanes per run (0 = unbounded)")
 	shards := flag.Int("shards", 0, "CONGEST delivery shards per run (0 = serial; the worker pool is the parallelism)")
 	checkPayload := flag.Bool("checkpayload", false, "enable the runtime payload-overflow guard on every run")
 	maxNodes := flag.Int("max-nodes", 0, "max nodes per accepted graph (0 = default)")
@@ -147,7 +146,6 @@ func run() int {
 		QueueDepth:      *queue,
 		CacheEntries:    *cacheEntries,
 		Limits:          service.Limits{MaxNodes: *maxNodes, MaxEdges: *maxEdges},
-		EngineWorkers:   *engineWorkers,
 		DeliveryShards:  *shards,
 		CheckPayload:    *checkPayload,
 		DefaultDeadline: *defaultDeadline,

@@ -88,7 +88,7 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 			pg := &congest.Progress{}
 			o := opts()
 			o.Engine = eng
-			o.Progress = pg
+			o.Observer = pg
 			errCh := make(chan error, 1)
 			go func() {
 				_, err := MinCutContext(ctx, g, o)

@@ -27,7 +27,7 @@ func TestMinCutContextCancelMidRun(t *testing.T) {
 	g := graph.PlantedCut(64, 64, 3, 0.3, 7)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := MinCutContext(ctx, g, &Options{Progress: pg})
+		_, err := MinCutContext(ctx, g, &Options{Observer: pg})
 		errCh <- err
 	}()
 	deadline := time.Now().Add(30 * time.Second)

@@ -83,10 +83,6 @@ type Options struct {
 	// deadline, so a context.WithDeadline context bounds the run even
 	// if this field is zero.
 	Deadline time.Time
-	// Workers bounds how many node programs the runtime executes
-	// concurrently (see congest.Options.Workers). Zero wakes every
-	// scheduled node at once. Results are identical either way.
-	Workers int
 	// DeliveryShards partitions the runtime's message-delivery phase
 	// over this many worker goroutines (see
 	// congest.Options.DeliveryShards). Zero picks the runtime default
@@ -102,11 +98,6 @@ type Options struct {
 	// overwritten from this struct for every run. The caller must not
 	// use one engine from concurrent computations.
 	Engine *congest.Engine
-	// Progress, when non-nil, is updated by the runtime at every round
-	// boundary with the rounds completed and messages delivered so far,
-	// so a concurrent observer (e.g. a job-status endpoint) can sample
-	// a running computation. See congest.Progress.
-	Progress *congest.Progress
 	// CheckPayload enables the runtime's payload-overflow guard: any
 	// message staged with a payload word outside ±2^62 fails the run
 	// loudly instead of corrupting the protocol. See
@@ -116,8 +107,9 @@ type Options struct {
 	// simulated round at the runtime's round barrier — per-round message
 	// and wake counts plus wall-clock delivery timings. Arm a
 	// congest.FlightRecorder here to keep a post-mortem tail of the last
-	// rounds across deadline or budget aborts. Nil (the default) costs
-	// nothing. See congest.Options.Observer.
+	// rounds across deadline or budget aborts, or a congest.Progress to
+	// sample a running computation from another goroutine. Nil (the
+	// default) costs nothing. See congest.Options.Observer.
 	Observer congest.Observer
 }
 
@@ -180,21 +172,18 @@ func (o Options) engineOpts(ctx context.Context) congest.Options {
 		Seed:           o.Seed,
 		Unbounded:      o.Unbounded,
 		MaxRounds:      o.MaxRounds,
-		Workers:        o.Workers,
 		DeliveryShards: o.DeliveryShards,
 		Interrupt:      ctx.Done(),
 		Deadline:       deadline,
-		Progress:       o.Progress,
 		CheckPayload:   o.CheckPayload,
 		Observer:       o.Observer,
 	}
 }
 
-// runSim executes one distributed program — a blocking
-// func(*congest.Node) or a compiled congest.StepProgram; the engine
-// dispatches on the dynamic type — on the caller's reusable engine when
-// Options.Engine is set and on a one-shot engine otherwise.
-func (o Options) runSim(ctx context.Context, g *graph.Graph, program congest.Program) (*congest.Stats, error) {
+// runSim executes one distributed node program on the caller's
+// reusable engine when Options.Engine is set and on a one-shot engine
+// otherwise.
+func (o Options) runSim(ctx context.Context, g *graph.Graph, program func(*congest.Node)) (*congest.Stats, error) {
 	eo := o.engineOpts(ctx)
 	if o.Engine != nil {
 		o.Engine.SetOptions(eo)

@@ -236,14 +236,6 @@ func BenchmarkEngineExpanderSparse(b *testing.B) {
 	benchRun(b, g, Options{DeliveryShards: -1}, pingPongProgram(0, peer, 256))
 }
 
-// BenchmarkEngineExpanderWorkers runs the dense exchange in lane mode,
-// bounding concurrently runnable node programs by GOMAXPROCS.
-func BenchmarkEngineExpanderWorkers(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander,
-		Options{Workers: runtime.GOMAXPROCS(0), DeliveryShards: -1}, exchangeProgram(8))
-}
-
 // BenchmarkEngineExpanderShards runs the dense exchange with the
 // delivery phase partitioned over GOMAXPROCS shards.
 func BenchmarkEngineExpanderShards(b *testing.B) {
@@ -285,7 +277,7 @@ func BenchmarkEngineMillionPathReuse(b *testing.B) {
 	millionSetup(b)
 	g := millionGraphs.path
 	program := pingPongProgram(0, g.Adj(0)[0].Peer, 64)
-	eng := NewEngine(Options{Workers: runtime.GOMAXPROCS(0)})
+	eng := NewEngine(Options{})
 	defer eng.Close()
 	var cold, warm int64
 	for i := 0; i < b.N; i++ {
@@ -311,7 +303,7 @@ func BenchmarkEngineMillionPathReuse(b *testing.B) {
 func BenchmarkEngineMillionExpanderExchange(b *testing.B) {
 	millionSetup(b)
 	benchRunSplit(b, millionGraphs.expander,
-		Options{Workers: runtime.GOMAXPROCS(0), DeliveryShards: runtime.GOMAXPROCS(0)},
+		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
 		exchangeProgram(1))
 }
 
@@ -328,12 +320,12 @@ func BenchmarkEngineMillionStepExpanderExchange(b *testing.B) {
 
 // BenchmarkEngineMillionPathSparse: two adjacent nodes chatting on a
 // million-node path — the per-run cost floor for million-node
-// simulations. With lazy node activation the 2^20 immediate-exit
-// programs recycle a handful of goroutine stacks instead of faulting
-// in one per node, and setup-ns isolates what per-run setup remains.
+// simulations. Lazy node activation spares the 2^20 immediate-exit
+// programs a wake channel each (only the two chatting nodes ever park),
+// and setup-ns isolates what per-run setup remains.
 func BenchmarkEngineMillionPathSparse(b *testing.B) {
 	millionSetup(b)
 	g := millionGraphs.path
-	benchRunSplit(b, g, Options{Workers: runtime.GOMAXPROCS(0)},
+	benchRunSplit(b, g, Options{},
 		pingPongProgram(0, g.Adj(0)[0].Peer, 64))
 }

@@ -45,7 +45,7 @@ func TestInterruptMidRun(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		stats, err = Run(g, Options{Interrupt: ch, Progress: pg}, pingPong(5_000_000))
+		stats, err = Run(g, Options{Interrupt: ch, Observer: pg}, pingPong(5_000_000))
 	}()
 	// Wait until the run has visibly progressed, then interrupt it.
 	deadline := time.Now().Add(10 * time.Second)
@@ -75,7 +75,7 @@ func TestInterruptMidRun(t *testing.T) {
 func TestProgressGaugeMatchesStats(t *testing.T) {
 	pg := &Progress{}
 	g := graph.Cycle(16)
-	stats, err := Run(g, Options{Progress: pg}, func(nd *Node) {
+	stats, err := Run(g, Options{Observer: pg}, func(nd *Node) {
 		for i := 0; i < 50; i++ {
 			nd.SendAll(Message{Kind: 1, Tag: uint32(i)})
 			for k := 0; k < nd.Degree(); k++ {

@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"distmincut/internal/graph"
@@ -59,32 +58,27 @@ func determinismFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestDeterminismAcrossModes: for the same seed, every execution mode —
-// goroutine-per-node, lane mode (several widths), sharded delivery
-// (several shard counts), and their combinations — must produce
-// bit-identical Stats on every generator family.
+// TestDeterminismAcrossModes: for the same seed, the default delivery
+// mode, serial delivery, and sharded delivery at several shard counts
+// must produce bit-identical Stats on every generator family.
 func TestDeterminismAcrossModes(t *testing.T) {
-	gp := runtime.GOMAXPROCS(0)
 	modes := []struct {
-		name            string
-		workers, shards int
+		name   string
+		shards int
 	}{
-		{"serial", 0, 0},
-		{"serial-again", 0, 0},
-		{"workers-1", 1, 0},
-		{"workers-2", 2, 0},
-		{"workers-gomaxprocs", gp, 0},
-		{"shards-2", 0, 2},
-		{"shards-3", 0, 3},
-		{"shards-gomaxprocs", 0, gp},
-		{"workers-2-shards-2", 2, 2},
-		{"workers-gomaxprocs-shards-4", gp, 4},
+		{"default", 0},
+		{"default-again", 0},
+		{"serial", -1},
+		{"shards-2", 2},
+		{"shards-3", 3},
+		{"shards-4", 4},
+		{"shards-gomaxprocs", runtime.GOMAXPROCS(0)},
 	}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
 			var want statsKey
 			for i, m := range modes {
-				stats, err := Run(g, Options{Seed: 42, Workers: m.workers, DeliveryShards: m.shards}, chatterProgram)
+				stats, err := Run(g, Options{Seed: 42, DeliveryShards: m.shards}, chatterProgram)
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
@@ -106,23 +100,21 @@ func TestDeterminismAcrossModes(t *testing.T) {
 
 // TestReusedEngineDeterminism: a reused engine must produce
 // bit-identical Stats to a fresh engine, on every generator family and
-// execution mode — across repeat runs on the same graph (the warm
+// delivery mode — across repeat runs on the same graph (the warm
 // dirty-region reset path) and across runs that interleave different
 // graphs on one engine (the slab-reuse-with-rebuild path).
 func TestReusedEngineDeterminism(t *testing.T) {
-	gp := runtime.GOMAXPROCS(0)
 	modes := []struct {
-		name            string
-		workers, shards int
+		name   string
+		shards int
 	}{
-		{"serial", 0, -1},
-		{"workers-2", 2, -1},
-		{"shards-2", 0, 2},
-		{"workers-gomaxprocs-shards-gomaxprocs", gp, gp},
+		{"serial", -1},
+		{"shards-2", 2},
+		{"shards-gomaxprocs", runtime.GOMAXPROCS(0)},
 	}
 	families := determinismFamilies()
 	for _, m := range modes {
-		opts := Options{Seed: 42, Workers: m.workers, DeliveryShards: m.shards}
+		opts := Options{Seed: 42, DeliveryShards: m.shards}
 		t.Run(m.name, func(t *testing.T) {
 			// Fresh-engine baselines.
 			want := map[string]statsKey{}
@@ -238,7 +230,7 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 }
 
 // TestDeterminismUnbounded: the span-copy delivery of Unbounded mode
-// must stay bit-identical across serial, sharded, and lane execution.
+// must stay bit-identical across serial and sharded delivery.
 func TestDeterminismUnbounded(t *testing.T) {
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
@@ -246,7 +238,7 @@ func TestDeterminismUnbounded(t *testing.T) {
 			modes := []Options{
 				{Seed: 7, Unbounded: true},
 				{Seed: 7, Unbounded: true, DeliveryShards: 3},
-				{Seed: 7, Unbounded: true, Workers: 2, DeliveryShards: 2},
+				{Seed: 7, Unbounded: true, DeliveryShards: 2},
 			}
 			for i, opts := range modes {
 				stats, err := Run(g, opts, chatterProgram)
@@ -330,119 +322,6 @@ func TestDeterminismAcrossSeeds(t *testing.T) {
 	}
 	if a1.Sent == b.Sent && a1.Rounds == b.Rounds {
 		t.Fatalf("seeds 1 and 2 produced identical traffic (%v); RNG not applied", a1)
-	}
-}
-
-// Worker-pool mode must preserve every engine edge case, not just the
-// happy path.
-
-func TestWorkersPingPong(t *testing.T) {
-	g := graph.Path(2)
-	const k = 7
-	stats, err := Run(g, Options{Workers: 1}, func(nd *Node) {
-		for i := 0; i < k; i++ {
-			if nd.ID() == 0 {
-				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
-				nd.RecvKindTag(kindToken, 0)
-			} else {
-				_, m := nd.RecvKindTag(kindToken, 0)
-				nd.Send(0, m)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 2*k {
-		t.Fatalf("rounds = %d, want %d", stats.Rounds, 2*k)
-	}
-}
-
-func TestWorkersPanicPropagation(t *testing.T) {
-	g := graph.Cycle(4)
-	_, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		if nd.ID() == 2 {
-			panic("boom")
-		}
-		nd.Recv(MatchKind(kindToken))
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Node != 2 {
-		t.Fatalf("err = %v, want PanicError from node 2", err)
-	}
-}
-
-func TestWorkersDeadlockDetection(t *testing.T) {
-	g := graph.Path(3)
-	_, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken))
-	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-}
-
-func TestWorkersMaxRounds(t *testing.T) {
-	g := graph.Path(2)
-	_, err := Run(g, Options{MaxRounds: 10, Workers: 1}, func(nd *Node) {
-		for {
-			if nd.ID() == 0 {
-				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
-			} else {
-				nd.RecvKindTag(kindToken, 0)
-				nd.Send(0, Message{Kind: kindToken})
-			}
-		}
-	})
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
-	}
-}
-
-func TestWorkersSleepFastForward(t *testing.T) {
-	g := graph.Path(3)
-	const target = 1000
-	stats, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		nd.Sleep(target)
-		if nd.Round() != target {
-			panic("woke at wrong round")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != target {
-		t.Fatalf("rounds = %d, want %d", stats.Rounds, target)
-	}
-}
-
-// TestWorkersBoundConcurrency: with Workers: 1 no two node programs may
-// ever execute simultaneously.
-func TestWorkersBoundConcurrency(t *testing.T) {
-	g := graph.Complete(8)
-	var cur, peak atomic.Int32
-	_, err := Run(g, Options{Workers: 1}, func(nd *Node) {
-		for r := 0; r < 3; r++ {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			nd.SendAll(Message{Kind: kindData, Tag: uint32(r)})
-			cur.Add(-1)
-			for i := 0; i < nd.Degree(); i++ {
-				nd.Recv(MatchKindTag(kindData, uint32(r)))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p != 1 {
-		t.Fatalf("observed %d concurrently running programs with Workers=1", p)
 	}
 }
 
@@ -651,9 +530,8 @@ func appendInts(b []byte, vals ...int) []byte {
 // compared under.
 func stepDiffModes() map[string]Options {
 	return map[string]Options{
-		"serial":    {Seed: 42, DeliveryShards: -1},
-		"workers-2": {Seed: 42, Workers: 2, DeliveryShards: -1},
-		"shards-3":  {Seed: 42, DeliveryShards: 3},
+		"serial":   {Seed: 42, DeliveryShards: -1},
+		"shards-3": {Seed: 42, DeliveryShards: 3},
 	}
 }
 

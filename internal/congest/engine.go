@@ -28,13 +28,6 @@ type Options struct {
 	// round instead of one message, i.e. a LOCAL-model network with
 	// unbounded bandwidth. Used only by the pipelining ablation (E9).
 	Unbounded bool
-	// Workers, when positive, bounds how many node programs execute
-	// concurrently: scheduled nodes are multiplexed over this many
-	// execution lanes instead of all being made runnable at once, so
-	// huge graphs stop thrashing the Go scheduler with n simultaneously
-	// runnable goroutines. Zero (the default) wakes every scheduled
-	// node at once. Stats are identical in both modes for a given seed.
-	Workers int
 	// DeliveryShards partitions the sender registry by node-ID range
 	// into that many shards and runs the delivery and receive-matching
 	// phases on that many worker goroutines. Delivery order is
@@ -65,11 +58,6 @@ type Options struct {
 	// with MaxRounds this is the engine-level watchdog behind service
 	// job deadlines.
 	Deadline time.Time
-	// Progress, when non-nil, is updated at every round boundary with
-	// the current round number and cumulative delivered-message count,
-	// so concurrent observers (e.g. a job-status endpoint) can sample a
-	// running simulation without synchronizing with it.
-	Progress *Progress
 	// CheckPayload, when set, makes Send fail loudly (a panic that
 	// surfaces as a PanicError from Run) whenever a staged message
 	// carries a payload word outside [-PayloadLimit, PayloadLimit].
@@ -85,7 +73,8 @@ type Options struct {
 	// delivery timings (total and per shard). When Observer is nil —
 	// the default — the engine skips all timing work and the round
 	// barrier pays exactly one nil check: the disabled path adds no
-	// allocations and no clock reads.
+	// allocations and no clock reads. A *Progress is the Observer for
+	// sampling a running simulation from another goroutine.
 	Observer Observer
 }
 
@@ -98,9 +87,6 @@ func normalize(opts Options) Options {
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
-	}
-	if opts.Workers < 0 {
-		opts.Workers = 0
 	}
 	if opts.DeliveryShards == 0 {
 		opts.DeliveryShards = runtime.GOMAXPROCS(0)
@@ -191,12 +177,7 @@ func (e *PanicError) Error() string {
 // Node goroutines start lazily: a node's goroutine is spawned at its
 // first activation and a node's wake channel is created at its first
 // park, so programs that exit without parking (sparse workloads,
-// early-terminating protocol phases) never pay a wake channel — and,
-// in lane mode (Options.Workers > 0), effectively no stack either:
-// chained activations let each exiting program free its goroutine
-// before the next spawns, so a million-node graph whose programs exit
-// immediately keeps only ~Workers stacks live at once instead of
-// faulting in a million.
+// early-terminating protocol phases) never pay a wake channel.
 //
 // The scheduler's round loop allocates nothing in steady state: the
 // sender registry, receiver set, wake list, and park notifications all
@@ -210,8 +191,8 @@ func (e *PanicError) Error() string {
 // per-shard delivered counts and receiver sets, (3) computes the wake
 // list from satisfied Recv predicates (evaluated in parallel over the
 // same shards when the receiver set is large) and due sleepers, and
-// (4) dispatches it — either waking every node at once or releasing
-// Options.Workers lane permits that parking nodes chain forward.
+// (4) dispatches it — waking every listed node's goroutine at once, or
+// calling a step program's Step on each (see step.go).
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -315,22 +296,16 @@ type Engine struct {
 
 	// Park barrier: every dispatched node ends its activation in
 	// notifyPark, which counts running down and signals roundDone at
-	// zero. In lane mode (Options.Workers > 0) a parking node first
-	// chains its lane to the next scheduled node — spawning that node's
-	// goroutine if this is its first activation — so a round costs one
-	// batch of Workers wake permits instead of a per-node handshake
-	// with pool goroutines. Nodes that parked in Sleep or exited are
-	// queued on notified for the coordinator (Recv parks need no
-	// attention).
+	// zero. Nodes that parked in Sleep or exited are queued on notified
+	// for the coordinator (Recv parks need no attention).
 	running   atomic.Int32
 	roundDone chan struct{}
 	notifyMu  sync.Mutex
 	notified  []*Node
 
-	// Lane mode state (Options.Workers > 0).
-	workers int
+	// curWake is the wake list a shard-parallel step dispatch is
+	// splitting into chunks (see dispatchStep).
 	curWake []*Node
-	wakeIdx atomic.Int32
 
 	sleepers sleepHeap
 	termWG   sync.WaitGroup
@@ -486,7 +461,7 @@ func NewEngine(opts Options) *Engine {
 
 // SetOptions replaces the engine's options between runs. Structural
 // knobs (DeliveryShards) take effect at the next Run; per-run knobs
-// (Seed, Interrupt, Progress, ...) apply exactly as if the engine had
+// (Seed, Interrupt, Observer, ...) apply exactly as if the engine had
 // been created with them. Must not be called while a Run is in flight.
 func (e *Engine) SetOptions(opts Options) {
 	e.opts = normalize(opts)
@@ -580,7 +555,6 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 // dirtied.
 func (e *Engine) setupRun(g *graph.Graph) {
 	n := g.N()
-	e.workers = e.opts.Workers
 	e.round = 0
 	e.delivered = 0
 	e.wakeups = 0
@@ -879,12 +853,7 @@ func (e *Engine) addSender(nd *Node) {
 	e.newSenders[e.newCount.Add(1)-1] = nd
 }
 
-// notifyPark ends a node activation. Called from node goroutines. In
-// lane mode the parking node first chains its lane to the next
-// scheduled node — spawning its goroutine if this is the node's first
-// activation — so the round's wake list drains through Workers
-// concurrent chains with one channel operation per activation instead
-// of a wake/park handshake against pool goroutines.
+// notifyPark ends a node activation. Called from node goroutines.
 func (e *Engine) notifyPark(nd *Node) {
 	if e.aborted.Load() {
 		return // teardown: the coordinator only waits on termWG now
@@ -893,11 +862,6 @@ func (e *Engine) notifyPark(nd *Node) {
 		e.notifyMu.Lock()
 		e.notified = append(e.notified, nd)
 		e.notifyMu.Unlock()
-	}
-	if e.workers > 0 {
-		if i := int(e.wakeIdx.Add(1)) - 1; i < len(e.curWake) {
-			e.activate(e.curWake[i])
-		}
 	}
 	if e.running.Add(-1) == 0 {
 		e.roundDone <- struct{}{}
@@ -926,9 +890,8 @@ func (e *Engine) activate(nd *Node) {
 
 // dispatch runs one activation of every node in wake and returns when
 // all of them have parked or exited. Step programs run as direct calls
-// (see dispatchStep). For blocking programs, direct mode activates
-// every scheduled node; lane mode releases one batch of Workers wake
-// permits and lets parking nodes chain the rest (see notifyPark).
+// (see dispatchStep); blocking programs have every scheduled node's
+// goroutine made runnable at once.
 func (e *Engine) dispatch(wake []*Node) {
 	if e.stepProg != nil {
 		e.dispatchStep(wake)
@@ -938,20 +901,8 @@ func (e *Engine) dispatch(wake []*Node) {
 		return
 	}
 	e.running.Store(int32(len(wake)))
-	if e.workers > 0 {
-		w := e.workers
-		if w > len(wake) {
-			w = len(wake)
-		}
-		e.curWake = wake
-		e.wakeIdx.Store(int32(w))
-		for _, nd := range wake[:w] {
-			e.activate(nd)
-		}
-	} else {
-		for _, nd := range wake {
-			e.activate(nd)
-		}
+	for _, nd := range wake {
+		e.activate(nd)
 	}
 	<-e.roundDone
 }
@@ -1019,10 +970,6 @@ func (e *Engine) coordinate() error {
 			e.deliverNs = time.Since(t0).Nanoseconds()
 		} else {
 			e.deliver()
-		}
-		if pg := e.opts.Progress; pg != nil {
-			pg.round.Store(int64(e.round))
-			pg.delivered.Store(e.delivered)
 		}
 		e.buildWakeSet()
 		e.wakeups += int64(len(e.wake))

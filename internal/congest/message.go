@@ -5,49 +5,46 @@
 //
 // # Execution model
 //
-// Node programs are ordinary blocking Go code. A node stages outgoing
-// messages with Send (one per-port FIFO each; the runtime transmits the
-// head of every FIFO each round, so multi-message transfers are
-// automatically pipelined and pay their true round cost), then blocks in
-// Recv or Sleep. A round-synchronous scheduler advances the global round
-// only when every node is parked, delivers the head of every staged edge
-// queue, and wakes exactly the nodes whose receive predicate is now
-// satisfied or whose sleep deadline passed. Rounds with no traffic and
-// no due wake-ups are fast-forwarded, and delivery walks a registry of
-// nodes with staged traffic rather than all n nodes, so simulation cost
-// is proportional to messages moved plus nodes woken — not n x rounds.
+// A node program runs in one of two ways, chosen by its type (see
+// Program):
 //
+//   - A blocking program is ordinary Go code, a func(*Node), run on
+//     its own goroutine that holds the program's state on its stack
+//     between rounds, and parks by blocking in Recv or Sleep.
+//   - A compiled step program is an explicit state machine, a
+//     StepProgram. The engine calls Step on each activated node and
+//     acts on the returned Park (ParkRecv, ParkSleep, ParkDone): no
+//     goroutine, channel or stack per node.
+//
+// Either way a node stages outgoing messages in one FIFO per port; the
+// runtime transmits the head of every FIFO each round, so multi-message
+// transfers are automatically pipelined and pay their true round cost.
+// A round-synchronous scheduler advances the global round only when
+// every node is parked, delivers the head of every staged edge queue,
+// and wakes exactly the nodes whose receive predicate is now satisfied
+// or whose sleep deadline passed. Rounds with no traffic and no due
+// wake-ups are fast-forwarded, and delivery walks a registry of nodes
+// with staged traffic rather than all n nodes, so simulation cost is
+// proportional to messages moved plus nodes woken — not n x rounds.
 // The scheduler's round loop reuses per-engine scratch buffers (an
 // epoch-stamped receiver array, a wake list, per-shard sender
 // registries) and slab-allocates every queue and its initial ring, so
-// steady-state simulation does not allocate. Each node program runs on
-// its own goroutine (it holds the program's stack between rounds);
-// with Options.Workers > 0, each round releases that many wake permits
-// and parking nodes chain them forward, so only Workers programs are
-// runnable at once, which keeps very large graphs from thrashing the
-// Go scheduler.
+// steady-state simulation does not allocate.
 //
-// # Compiled step programs
-//
-// The engine has a second execution mode for programs written as
-// explicit state machines: a value implementing StepProgram (instead
-// of a func(*Node)) is run by calling Step on each activated node and
-// acting on the returned Park — no goroutine, channel, or stack per
-// node. Run dispatches on the program's dynamic type, and both modes
-// share the same coordinator, sender registry, queues, wake-set
-// construction, observer hook, and warm-engine lifecycle, so a step
-// program that parks at the same points with the same predicates and
-// sends as a blocking program produces bit-identical Stats and marks.
-// That equivalence is enforced by the differential suites in
-// determinism_test.go (engine workloads) and
-// internal/proto/step_diff_test.go (BFS and the step collectives vs
-// their blocking twins). Large wake sets are stepped shard-parallel:
-// the wake list is split into contiguous chunks over the delivery-
-// shard workers, which is safe because Step touches only its own
-// node's state and program slabs are indexed by node ID. Step programs
-// use StepRecv (TryRecv plus the scheduler's match hint) and return
-// ParkRecv/ParkSleep/ParkDone; calling the blocking Recv or Sleep from
-// a step program panics. NewStepSeq chains step programs sequentially,
+// Both modes share the same coordinator, sender registry, queues,
+// wake-set construction, observer hook and warm-engine lifecycle, so a
+// step program that parks at the same points with the same predicates
+// and sends as a blocking program produces bit-identical Stats and
+// marks. The differential suites in determinism_test.go (engine
+// workloads) and internal/proto/step_diff_test.go (BFS and the step
+// collectives vs their blocking twins) enforce that equivalence. A
+// blocking round makes every woken goroutine runnable at once; a step
+// round calls Step inline on the coordinator, or, for large wake sets,
+// in contiguous chunks over the delivery-shard workers, which is safe
+// because Step touches only its own node's state and program slabs are
+// indexed by node ID. Step programs use StepRecv (TryRecv plus the
+// scheduler's match hint); calling the blocking Recv or Sleep from a
+// step program panics. NewStepSeq chains step programs sequentially,
 // entering the next within the activation the previous one finishes —
 // the step analogue of a blocking program calling two protocols
 // back-to-back.
@@ -66,18 +63,15 @@
 // remains. Close releases the slabs to process-wide pools; the
 // package-level Run is the one-shot NewEngine + Run + Close.
 //
-// Node goroutines start lazily: a node's goroutine is spawned at its
-// first activation, and its wake channel is created at its first
-// park. Every node is activated once (round 0), so the win is
-// concurrency-shaped: in lane mode (Options.Workers > 0) activations
-// are chained, so a program that exits without parking frees its
-// goroutine before the next spawns and the runtime recycles the
-// stack — a million-node sparse workload keeps ~Workers stacks live
-// instead of faulting in one per node — while wake channels are lazy
-// in every mode (only nodes that actually park ever allocate one).
-// Reuse never leaks state: per-node RNGs reseed lazily per run, and a
-// reused engine's Stats are bit-identical to a fresh engine's for the
-// same graph, options, and seed.
+// Activation is lazy: a blocking program's goroutine is spawned at the
+// node's first activation (round 0), and a node's wake channel is
+// created only at its first park, so programs that exit without
+// parking never allocate one. Per-node run state left by the previous
+// run is cleared at that first activation rather than by an O(n)
+// teardown pass. Reuse never leaks state: per-node RNGs reseed lazily
+// per run, and a reused engine's Stats are bit-identical to a fresh
+// engine's for the same graph, options, and seed, for either kind of
+// program.
 //
 // # Sharded delivery
 //
@@ -95,17 +89,18 @@
 //
 // # Determinism
 //
-// Woken goroutines run concurrently but touch only their own node
-// state; message delivery and round advancement happen while all nodes
-// are parked, and each (sender, port) pair feeds its own per-port FIFO
-// at the receiver, so queue contents are independent of delivery
+// Activations within a round run concurrently (woken goroutines, or
+// step chunks on shard workers) but touch only their own node state;
+// message delivery and round advancement happen while all nodes are
+// parked, and each (sender, port) pair feeds its own per-port FIFO at
+// the receiver, so queue contents are independent of delivery
 // iteration order. Per-node RNGs are seeded from Options.Seed and the
 // node ID. Two runs with the same graph, options, and program produce
 // identical Stats (rounds, sent, delivered, wakeups, leftover) — and so
-// do runs that differ only in Options.Workers or
-// Options.DeliveryShards, in any combination. The one scheduling-
-// dependent quantity is the interleaving of Marks recorded by different
-// nodes within the same round.
+// do runs that differ only in Options.DeliveryShards, or that run a
+// step program in place of its blocking twin. The one
+// scheduling-dependent quantity is the interleaving of Marks recorded
+// by different nodes within the same round.
 //
 // # Model fidelity
 //

@@ -21,7 +21,9 @@ const (
 )
 
 // Node is the per-processor handle passed to the node program. All
-// methods must be called only from that node's goroutine.
+// methods must be called only from the node's own activation: its
+// goroutine for a blocking program, its Step call for a step program
+// (which may run on a delivery-shard worker).
 type Node struct {
 	id  graph.NodeID
 	eng *Engine

@@ -1,6 +1,9 @@
 package congest
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // RoundRecord is one per-round observation delivered to an Observer at
 // the round barrier, after the round's messages were delivered and the
@@ -44,6 +47,29 @@ type RoundRecord struct {
 type Observer interface {
 	ObserveRound(RoundRecord)
 }
+
+// Progress is an Observer that keeps only the latest round number and
+// cumulative delivered-message count, so a concurrent reader (e.g. a
+// job-status endpoint) can sample a running simulation. All methods are
+// safe to call from any goroutine while the run is in flight; values
+// are monotone within a run and settle at the run's final Stats
+// (Rounds, Delivered) when it ends.
+type Progress struct {
+	round     atomic.Int64
+	delivered atomic.Int64
+}
+
+// ObserveRound stores the record's round and cumulative delivered count.
+func (p *Progress) ObserveRound(rec RoundRecord) {
+	p.round.Store(int64(rec.Round))
+	p.delivered.Store(rec.TotalDelivered)
+}
+
+// Round returns the round number most recently completed.
+func (p *Progress) Round() int { return int(p.round.Load()) }
+
+// Delivered returns the cumulative messages delivered so far.
+func (p *Progress) Delivered() int64 { return p.delivered.Load() }
 
 // FlightRecorder is an Observer retaining the last K rounds in a fixed
 // ring — a post-mortem buffer for deadline and budget aborts: when a

@@ -3,25 +3,9 @@ package congest
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"distmincut/internal/graph"
 )
-
-// Progress is a gauge a running simulation updates at every round
-// boundary (see Options.Progress). All methods are safe to call from
-// any goroutine while the run is in flight; values are monotone and
-// settle at the run's final Stats when it ends.
-type Progress struct {
-	round     atomic.Int64
-	delivered atomic.Int64
-}
-
-// Round returns the round number most recently completed.
-func (p *Progress) Round() int { return int(p.round.Load()) }
-
-// Delivered returns the cumulative messages delivered so far.
-func (p *Progress) Delivered() int64 { return p.delivered.Load() }
 
 // Mark is a named round timestamp recorded by a node program, used by
 // the experiment harness and the span parser in package distmincut to

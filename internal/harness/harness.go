@@ -54,10 +54,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every randomized workload and protocol.
 	Seed int64
-	// Workers bounds how many node programs the CONGEST runtime
-	// executes concurrently (congest.Options.Workers). Zero wakes every
-	// scheduled node at once; results are identical either way.
-	Workers int
 	// DeliveryShards partitions the runtime's delivery phase over this
 	// many worker goroutines (congest.Options.DeliveryShards). Zero
 	// resolves to serial delivery here — RunAll already executes
@@ -74,7 +70,7 @@ func (c Config) engineOpts(seed int64) congest.Options {
 	if shards == 0 {
 		shards = -1 // serial per run: RunAll is the parallelism
 	}
-	return congest.Options{Seed: seed, Workers: c.Workers, DeliveryShards: shards}
+	return congest.Options{Seed: seed, DeliveryShards: shards}
 }
 
 func (c Config) seed() int64 {

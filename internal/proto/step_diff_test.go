@@ -32,12 +32,11 @@ func diffFamilies() map[string]*graph.Graph {
 }
 
 // diffConfigs are the engine configurations each family runs under:
-// serial, parallel wake scan, and sharded delivery.
+// serial and sharded delivery.
 func diffConfigs() map[string]congest.Options {
 	return map[string]congest.Options{
-		"serial":  {Seed: 5, DeliveryShards: -1},
-		"workers": {Seed: 5, Workers: 2, DeliveryShards: -1},
-		"shards":  {Seed: 5, DeliveryShards: 3},
+		"serial": {Seed: 5, DeliveryShards: -1},
+		"shards": {Seed: 5, DeliveryShards: 3},
 	}
 }
 

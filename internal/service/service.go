@@ -146,15 +146,13 @@ type Options struct {
 	JobRetention int
 	// Limits bounds accepted specs (zero fields take DefaultLimits).
 	Limits Limits
-	// EngineWorkers and DeliveryShards are passed to every run
-	// (distmincut.Options); they never affect results, only speed.
-	// Zero DeliveryShards resolves to serial delivery here — the
-	// worker pool already runs PoolSize jobs in parallel, and letting
-	// every job also fan delivery out one-shard-per-CPU (the runtime's
-	// single-run default) would oversubscribe the machine PoolSize-
-	// fold. Set it explicitly to opt a mostly-idle pool into sharded
-	// delivery.
-	EngineWorkers  int
+	// DeliveryShards is passed to every run (distmincut.Options); it
+	// never affects results, only speed. Zero resolves to serial
+	// delivery here — the worker pool already runs PoolSize jobs in
+	// parallel, and letting every job also fan delivery out
+	// one-shard-per-CPU (the runtime's single-run default) would
+	// oversubscribe the machine PoolSize-fold. Set it explicitly to opt
+	// a mostly-idle pool into sharded delivery.
 	DeliveryShards int
 	// CheckPayload enables the runtime's payload-overflow guard on
 	// every run.
@@ -180,8 +178,8 @@ type Options struct {
 	// FlightRounds sizes the per-execution flight recorder: the ring of
 	// last-K round records appended to a job's trace when a deadline or
 	// round budget kills the run. Zero takes
-	// congest.DefaultFlightRounds; negative disables the recorder (runs
-	// observe nothing, traces of aborted jobs carry no round tail).
+	// congest.DefaultFlightRounds; negative disables the recorder
+	// (traces of aborted jobs then carry no round tail).
 	FlightRounds int
 	// Replica names this service instance in a multi-replica
 	// deployment. It is incidental identity, never job identity: it
@@ -263,7 +261,7 @@ type job struct {
 	result   []byte
 	approx   []byte // tiered: the published approximate-phase result
 	setupNs  int64  // engine setup time of the completed run (0 for cache hits)
-	progress *congest.Progress
+	progress *execProgress
 	exec     *exec // nil once terminal (or for cache-hit records)
 	// degradedFrom is the originally requested tier when overload
 	// degraded this submission (queue pressure or admission downtier);
@@ -292,7 +290,7 @@ type exec struct {
 	req      JobRequest
 	tier     string
 	state    State // StateQueued, StateRunning or StateRefining; terminal states live on jobs
-	progress *congest.Progress
+	progress *execProgress
 	cancel   context.CancelFunc // set once running
 	waiters  []*job             // attached, non-terminal job records
 	// Tiered executions address each phase under the key a direct
@@ -310,12 +308,47 @@ type exec struct {
 	// per-tier runs with their phase spans, refining); guarded by the
 	// service mutex like the rest of the record.
 	trace []traceEvent
-	// recorder is the execution's flight recorder (nil when disabled);
-	// runStart anchors its round records — and the run's phase spans —
-	// to the wall clock. Both are touched only by the worker goroutine
-	// that owns the execution.
-	recorder *congest.FlightRecorder
+	// runStart anchors the current run's flight-recorder records — and
+	// its phase spans — to the wall clock. Touched only by the worker
+	// goroutine that owns the execution.
 	runStart time.Time
+}
+
+// execProgress is an execution's engine observer. It keeps the
+// progress gauge the execution's job records report, summed over the
+// execution's runs (a tiered job runs the approx phase, then the exact
+// phase), and forwards every round record unchanged to the flight
+// recorder when one is armed. The gauge is safe to read from any
+// goroutine; everything else belongs to the worker goroutine that owns
+// the execution.
+type execProgress struct {
+	congest.Progress
+	recorder *congest.FlightRecorder // nil when disabled
+	// prevRounds and prevDelivered are the gauge's totals when the
+	// current run started.
+	prevRounds    int
+	prevDelivered int64
+}
+
+// ObserveRound forwards rec to the flight recorder and advances the
+// gauge to the previous runs' totals plus this run's.
+func (p *execProgress) ObserveRound(rec congest.RoundRecord) {
+	if p.recorder != nil {
+		p.recorder.ObserveRound(rec)
+	}
+	rec.Round += p.prevRounds
+	rec.TotalDelivered += p.prevDelivered
+	p.Progress.ObserveRound(rec)
+}
+
+// startRun marks the start of the execution's next run: the gauge keeps
+// counting from its current totals, and the flight recorder is emptied
+// so its tail describes this run alone.
+func (p *execProgress) startRun() {
+	p.prevRounds, p.prevDelivered = p.Round(), p.Delivered()
+	if p.recorder != nil {
+		p.recorder.Reset()
+	}
 }
 
 // JobView is an immutable snapshot of a job for API responses.
@@ -591,7 +624,7 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 	s.submitted.Add(1)
 	e := &exec{
 		key: key, req: canon, tier: canon.Tier, state: StateQueued,
-		progress: &congest.Progress{}, approxKey: approxKey, exactKey: exactKey,
+		progress: &execProgress{}, approxKey: approxKey, exactKey: exactKey,
 		budget: budget,
 	}
 	if budget > 0 {
@@ -736,7 +769,6 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 		}
 		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{
 			Seed:           canon.Seed,
-			Workers:        s.opts.EngineWorkers,
 			DeliveryShards: s.opts.DeliveryShards,
 			CheckPayload:   s.opts.CheckPayload,
 		})
@@ -1040,7 +1072,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	eng := congest.NewEngine(congest.Options{
-		Workers:        s.opts.EngineWorkers,
 		DeliveryShards: s.opts.DeliveryShards,
 		CheckPayload:   s.opts.CheckPayload,
 	})
@@ -1078,7 +1109,7 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 	e.state = StateRunning
 	e.cancel = cancel
 	if s.opts.FlightRounds >= 0 {
-		e.recorder = congest.NewFlightRecorder(s.opts.FlightRounds)
+		e.progress.recorder = congest.NewFlightRecorder(s.opts.FlightRounds)
 	}
 	started := time.Now()
 	e.trace = append(e.trace, traceEvent{
@@ -1148,8 +1179,8 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 		// and each trace ends with the flight recorder's last rounds.
 		s.deadlined.Add(int64(len(e.waiters)))
 		var tail []traceEvent
-		if e.recorder != nil {
-			tail = flightEvents(e.runStart, e.recorder.Tail())
+		if rec := e.progress.recorder; rec != nil {
+			tail = flightEvents(e.runStart, rec.Tail())
 		}
 		finalize(StateDeadline, err.Error(), tail)
 		s.log.Warn("job deadline", "tier", e.tier, "key", e.key,
@@ -1309,25 +1340,22 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 
 // runTier runs one serving tier's protocol and encodes its canonical
 // result bytes under the given key. The run is observed end to end:
-// the execution's flight recorder (reset per run) rides along as the
-// engine observer, and the run's phase spans land on the timeline via
-// recordRun whether the run finishes or aborts.
+// the execution's progress observer (which feeds the flight recorder,
+// reset per run) rides along as the engine observer, and the run's
+// phase spans land on the timeline via recordRun whether the run
+// finishes or aborts.
 func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string) ([]byte, int64, error) {
 	opts := &distmincut.Options{
 		Seed:           e.req.Seed,
 		Epsilon:        e.req.Epsilon,
 		MaxRounds:      s.opts.MaxJobRounds,
 		Deadline:       e.deadlineAt,
-		Workers:        s.opts.EngineWorkers,
 		DeliveryShards: s.opts.DeliveryShards,
 		Engine:         eng,
-		Progress:       e.progress,
 		CheckPayload:   s.opts.CheckPayload,
+		Observer:       e.progress,
 	}
-	if e.recorder != nil {
-		e.recorder.Reset()
-		opts.Observer = e.recorder
-	}
+	e.progress.startRun()
 	t0 := time.Now()
 	e.runStart = t0
 	var stats *congest.Stats

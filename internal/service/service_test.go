@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"distmincut/internal/congest"
 )
 
 func plantedReq(seed int64) JobRequest {
@@ -448,7 +446,7 @@ func TestDeterministicResultsAcrossInstances(t *testing.T) {
 	results := make([][][]byte, 2)
 	for inst := 0; inst < 2; inst++ {
 		// Different pool shapes must not leak into result bytes.
-		s := New(Options{PoolSize: 1 + inst*3, EngineWorkers: inst * 2, DeliveryShards: inst * 2})
+		s := New(Options{PoolSize: 1 + inst*3, DeliveryShards: inst * 2})
 		for _, req := range reqs {
 			v, err := s.Submit(req)
 			if err != nil {
@@ -536,7 +534,7 @@ func TestWorkerSurvivesPanickingBuild(t *testing.T) {
 		key:      "injected-panic",
 		req:      JobRequest{Mode: "exact", Seed: 1, Graph: GraphSpec{Family: "torus", Rows: 2, Cols: 2}},
 		state:    StateQueued,
-		progress: &congest.Progress{},
+		progress: &execProgress{},
 	}
 	j := s.newJobLocked(e.key, TierExact)
 	j.state = StateQueued

@@ -348,3 +348,40 @@ func TestTierKeysMatchDirectSubmissions(t *testing.T) {
 		t.Fatalf("tier keys collide: tiered=%s approx=%s exact=%s", tieredKey, approxKey, exactKey)
 	}
 }
+
+// TestTieredProgressSumsPhases: an uncached tiered job runs the approx
+// and then the exact phase, and its progress gauge counts both — the
+// finished view and the service's rounds counter report the two
+// phases' rounds and messages added together.
+func TestTieredProgressSumsPhases(t *testing.T) {
+	s := New(Options{PoolSize: 1})
+	defer shutdown(t, s)
+	v, err := s.Submit(JobRequest{
+		Graph: GraphSpec{Family: "planted", N1: 16, N2: 16, K: 2, InP: 0.5, Seed: 1},
+		Tier:  TierTiered, Epsilon: 0.9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitState(t, s, v.ID, StateDone, time.Minute)
+	var approx, exact Result
+	if err := json.Unmarshal(done.Approx, &approx); err != nil {
+		t.Fatalf("approx payload: %v", err)
+	}
+	if err := json.Unmarshal(done.Result, &exact); err != nil {
+		t.Fatalf("final result: %v", err)
+	}
+	if approx.Rounds == 0 || exact.Rounds == 0 {
+		t.Fatalf("degenerate phases: approx %d rounds, exact %d rounds", approx.Rounds, exact.Rounds)
+	}
+	wantRounds := int64(approx.Rounds + exact.Rounds)
+	if done.Rounds != wantRounds {
+		t.Errorf("view rounds = %d, want approx %d + exact %d", done.Rounds, approx.Rounds, exact.Rounds)
+	}
+	if want := approx.Messages + exact.Messages; done.Delivered != want {
+		t.Errorf("view delivered = %d, want approx %d + exact %d", done.Delivered, approx.Messages, exact.Messages)
+	}
+	if m := s.Metrics(); m.RoundsTotal != wantRounds {
+		t.Errorf("RoundsTotal = %d, want %d", m.RoundsTotal, wantRounds)
+	}
+}

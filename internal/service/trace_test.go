@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"distmincut/internal/congest"
+	"distmincut/internal/graph"
 )
 
 // chromeJSON mirrors the rendered trace shape for assertions.
@@ -400,6 +404,57 @@ func TestMetricsCarryPhaseAndLatency(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output missing %q", want)
+		}
+	}
+}
+
+// tapObserver copies every record it sees, then hands it on.
+type tapObserver struct {
+	recs []congest.RoundRecord
+	next congest.Observer
+}
+
+func (o *tapObserver) ObserveRound(rec congest.RoundRecord) {
+	cp := rec
+	cp.ShardNanos = append([]int64(nil), rec.ShardNanos...)
+	o.recs = append(o.recs, cp)
+	o.next.ObserveRound(rec)
+}
+
+// TestExecProgressForwardsRecords: the execution observer hands every
+// round record to the flight recorder unchanged — the recorder holds
+// exactly the records the engine produced in the current run — while
+// its gauge counts the execution's runs together.
+func TestExecProgressForwardsRecords(t *testing.T) {
+	g := graph.RandomRegular(64, 6, 3)
+	p := &execProgress{recorder: congest.NewFlightRecorder(1 << 10)}
+	totalRounds, totalDelivered := 0, int64(0)
+	for run := 0; run < 2; run++ {
+		p.startRun()
+		tap := &tapObserver{next: p}
+		stats, err := congest.Run(g, congest.Options{Seed: int64(run + 1), DeliveryShards: 2, Observer: tap},
+			func(nd *congest.Node) {
+				for i := 0; i < 3; i++ {
+					nd.SendAll(congest.Message{Kind: 1, Tag: uint32(i)})
+					for k := 0; k < nd.Degree(); k++ {
+						nd.Recv(congest.MatchKindTag(1, uint32(i)))
+					}
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tap.recs) == 0 {
+			t.Fatal("run produced no round records")
+		}
+		if got := p.recorder.Tail(); !reflect.DeepEqual(got, tap.recs) {
+			t.Fatalf("run %d: recorder holds %+v, engine produced %+v", run, got, tap.recs)
+		}
+		totalRounds += stats.Rounds
+		totalDelivered += stats.Delivered
+		if p.Round() != totalRounds || p.Delivered() != totalDelivered {
+			t.Fatalf("run %d: gauge at round %d, %d delivered; want %d, %d",
+				run, p.Round(), p.Delivered(), totalRounds, totalDelivered)
 		}
 	}
 }

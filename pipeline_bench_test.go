@@ -1,7 +1,6 @@
 package distmincut_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -60,10 +59,7 @@ func BenchmarkApproxMillion(b *testing.B) {
 	g := pipelineGraph.g
 	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
-	opts := &distmincut.Options{
-		Workers: runtime.GOMAXPROCS(0),
-		Engine:  eng,
-	}
+	opts := &distmincut.Options{Engine: eng}
 	b.ResetTimer()
 	var rounds, messages, setup int64
 	for i := 0; i < b.N; i++ {
@@ -97,10 +93,7 @@ func BenchmarkBracketMillion(b *testing.B) {
 	g := pipelineGraph.g
 	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
-	opts := &distmincut.Options{
-		Workers: runtime.GOMAXPROCS(0),
-		Engine:  eng,
-	}
+	opts := &distmincut.Options{Engine: eng}
 	b.ResetTimer()
 	var rounds, messages, setup int64
 	for i := 0; i < b.N; i++ {
@@ -129,8 +122,7 @@ func BenchmarkPipelineMillion(b *testing.B) {
 	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
 	opts := &distmincut.Options{
-		Workers: runtime.GOMAXPROCS(0),
-		Engine:  eng,
+		Engine: eng,
 		// One tree per guess: the planted bridge is in every spanning
 		// tree, so tree 1 certifies λ = 1 (see the benchmark comment).
 		TauPolicy: func(lambda int64, n int) int { return 1 },
