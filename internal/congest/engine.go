@@ -303,10 +303,6 @@ type Engine struct {
 	notifyMu  sync.Mutex
 	notified  []*Node
 
-	// curWake is the wake list a shard-parallel step dispatch is
-	// splitting into chunks (see dispatchStep).
-	curWake []*Node
-
 	sleepers sleepHeap
 	termWG   sync.WaitGroup
 
@@ -338,12 +334,12 @@ type deliveryShard struct {
 	lo, hi int
 	wake   []*Node
 
-	// Step-dispatch state (step programs only): the [stepLo, stepHi)
-	// chunk of the current wake list this shard activates, and the
-	// sleep/done notifications its activations produced (merged by the
-	// coordinator in shard order, like wake sublists).
-	stepLo, stepHi int
-	stepNotified   []*Node
+	// Step-dispatch state (step programs only): the chunk of the
+	// current wake list this shard activates, and the sleep/done
+	// notifications its activations produced (merged by the coordinator
+	// in shard order, like wake sublists).
+	stepWake     []*Node
+	stepNotified []*Node
 
 	// nanos is the shard's self-measured delivery wall time for the
 	// current round; written only when the engine's observer timing is

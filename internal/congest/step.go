@@ -162,17 +162,10 @@ func (e *Engine) dispatchStep(wake []*Node) {
 		return
 	}
 	if len(e.shards) > 1 && len(wake) >= parallelStepMin {
-		e.curWake = wake
 		per := (len(wake) + len(e.shards) - 1) / len(e.shards)
 		for i, sh := range e.shards {
-			sh.stepLo = i * per
-			if sh.stepLo > len(wake) {
-				sh.stepLo = len(wake)
-			}
-			sh.stepHi = sh.stepLo + per
-			if sh.stepHi > len(wake) {
-				sh.stepHi = len(wake)
-			}
+			lo := min(i*per, len(wake))
+			sh.stepWake = wake[lo:min(lo+per, len(wake))]
 			sh.taskCh <- taskStep
 		}
 		for range e.shards {
@@ -191,9 +184,8 @@ func (e *Engine) dispatchStep(wake []*Node) {
 
 // stepRange steps this shard's chunk of the current wake list.
 func (sh *deliveryShard) stepRange() {
-	e := sh.eng
-	for _, nd := range e.curWake[sh.stepLo:sh.stepHi] {
-		e.stepNode(nd, &sh.stepNotified)
+	for _, nd := range sh.stepWake {
+		sh.eng.stepNode(nd, &sh.stepNotified)
 	}
 }
 
