@@ -104,13 +104,19 @@ func TestDeterminismAcrossModes(t *testing.T) {
 // dirty-region reset path) and across runs that interleave different
 // graphs on one engine (the slab-reuse-with-rebuild path).
 func TestReusedEngineDeterminism(t *testing.T) {
+	// workers-2 runs the step form of the workload, whose activations
+	// fan out over two shard workers; the other modes run the blocking
+	// form.
+	blocking := func() any { return chatterProgram }
 	modes := []struct {
 		name   string
 		shards int
+		prog   func() any
 	}{
-		{"serial", -1},
-		{"shards-2", 2},
-		{"shards-gomaxprocs", runtime.GOMAXPROCS(0)},
+		{"serial", -1, blocking},
+		{"workers-2", 2, func() any { return &stepChatter{} }},
+		{"shards-2", 2, blocking},
+		{"shards-gomaxprocs", runtime.GOMAXPROCS(0), blocking},
 	}
 	families := determinismFamilies()
 	for _, m := range modes {
@@ -119,7 +125,7 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			// Fresh-engine baselines.
 			want := map[string]statsKey{}
 			for name, g := range families {
-				stats, err := Run(g, opts, chatterProgram)
+				stats, err := Run(g, opts, m.prog())
 				if err != nil {
 					t.Fatalf("%s fresh: %v", name, err)
 				}
@@ -129,8 +135,9 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			// exercise the warm same-graph path.
 			for name, g := range families {
 				eng := NewEngine(opts)
+				prog := m.prog()
 				for i := 0; i < 3; i++ {
-					stats, err := eng.Run(g, chatterProgram)
+					stats, err := eng.Run(g, prog)
 					if err != nil {
 						t.Fatalf("%s reuse run %d: %v", name, i, err)
 					}
@@ -145,9 +152,10 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			eng := NewEngine(opts)
 			defer eng.Close()
 			order := []string{"path", "expander", "community", "complete"}
+			prog := m.prog()
 			for round := 0; round < 2; round++ {
 				for _, name := range order {
-					stats, err := eng.Run(families[name], chatterProgram)
+					stats, err := eng.Run(families[name], prog)
 					if err != nil {
 						t.Fatalf("%s cross-graph round %d: %v", name, round, err)
 					}
@@ -322,6 +330,99 @@ func TestDeterminismAcrossSeeds(t *testing.T) {
 	}
 	if a1.Sent == b.Sent && a1.Rounds == b.Rounds {
 		t.Fatalf("seeds 1 and 2 produced identical traffic (%v); RNG not applied", a1)
+	}
+}
+
+// Worker-pool execution: with two or more delivery shards, a step
+// program's wake list is split over the shard workers once it reaches
+// parallelStepMin, so node programs run on a bounded pool instead of
+// one goroutine each. The pool must preserve every engine edge case,
+// not just the happy path; each graph below wakes at least
+// parallelStepMin nodes at once so the fan-out path runs.
+
+// workerPairs is a perfect matching on n nodes: 2i–2i+1 for every i.
+func workerPairs(n int) *graph.Graph {
+	g := graph.New(n)
+	for u := 0; u+1 < n; u += 2 {
+		g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1), 1)
+	}
+	return g
+}
+
+func TestWorkersPingPong(t *testing.T) {
+	g := workerPairs(2 * parallelStepMin)
+	const k = 7
+	stats, err := Run(g, Options{DeliveryShards: 2}, &stepPingPong{k: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 2*k {
+		t.Fatalf("rounds = %d, want %d", stats.Rounds, 2*k)
+	}
+	if want := int64(g.N() * k); stats.Delivered != want {
+		t.Fatalf("delivered = %d, want %d", stats.Delivered, want)
+	}
+}
+
+func TestWorkersPanicPropagation(t *testing.T) {
+	g := graph.Cycle(2 * parallelStepMin)
+	prog := &stepFuncProgram{
+		step: func(nd *Node) Park {
+			if nd.ID() == 100 {
+				panic("boom")
+			}
+			return ParkRecv(MatchKind(kindToken))
+		},
+	}
+	_, err := Run(g, Options{DeliveryShards: 2}, prog)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Node != 100 {
+		t.Fatalf("err = %v, want PanicError from node 100", err)
+	}
+}
+
+func TestWorkersDeadlockDetection(t *testing.T) {
+	g := graph.Path(2 * parallelStepMin)
+	prog := &stepFuncProgram{
+		step: func(nd *Node) Park { return ParkRecv(MatchKind(kindToken)) },
+	}
+	_, err := Run(g, Options{DeliveryShards: 2}, prog)
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+func TestWorkersMaxRounds(t *testing.T) {
+	g := workerPairs(2 * parallelStepMin)
+	_, err := Run(g, Options{MaxRounds: 10, DeliveryShards: 2}, &stepPingPong{k: 1 << 30})
+	if !errors.Is(err, ErrMaxRounds) {
+		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+}
+
+func TestWorkersSleepFastForward(t *testing.T) {
+	g := graph.Path(2 * parallelStepMin)
+	const target = 1000
+	var slept []bool
+	prog := &stepFuncProgram{
+		init: func(n int) { slept = make([]bool, n) },
+		step: func(nd *Node) Park {
+			if !slept[nd.ID()] {
+				slept[nd.ID()] = true
+				return ParkSleep(target)
+			}
+			if nd.Round() != target {
+				panic("woke at wrong round")
+			}
+			return ParkDone()
+		},
+	}
+	stats, err := Run(g, Options{DeliveryShards: 2}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != target {
+		t.Fatalf("rounds = %d, want %d", stats.Rounds, target)
 	}
 }
 
@@ -527,11 +628,13 @@ func appendInts(b []byte, vals ...int) []byte {
 }
 
 // stepDiffModes are the execution configurations the two paths are
-// compared under.
+// compared under: serial, and step activations fanned out over two and
+// three shard workers.
 func stepDiffModes() map[string]Options {
 	return map[string]Options{
-		"serial":   {Seed: 42, DeliveryShards: -1},
-		"shards-3": {Seed: 42, DeliveryShards: 3},
+		"serial":    {Seed: 42, DeliveryShards: -1},
+		"workers-2": {Seed: 42, DeliveryShards: 2},
+		"shards-3":  {Seed: 42, DeliveryShards: 3},
 	}
 }
 

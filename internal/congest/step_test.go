@@ -9,8 +9,10 @@ import (
 )
 
 // stepPingPong is the step form of the two-node token bounce in
-// TestPingPongRounds: node 0 sends the token and awaits its return k
-// times; node 1 echoes whatever arrives.
+// TestPingPongRounds: each even node sends the token on port 0 and
+// awaits its return k times; each odd node echoes whatever arrives. On
+// Path(2) that is node 0 and node 1; on a perfect matching every pair
+// bounces its own token.
 type stepPingPong struct {
 	k  int
 	st []stepPingPongState
@@ -40,7 +42,7 @@ func (p *stepPingPong) Step(nd *Node) Park {
 		st.match = MatchKindTag(kindToken, 0)
 	}
 	for st.i < p.k {
-		if nd.ID() == 0 {
+		if nd.ID()%2 == 0 {
 			// Each iteration: send, then await the echo.
 			_, m, ok := nd.StepRecv(st.match)
 			if !ok {

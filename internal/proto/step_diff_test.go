@@ -32,11 +32,13 @@ func diffFamilies() map[string]*graph.Graph {
 }
 
 // diffConfigs are the engine configurations each family runs under:
-// serial and sharded delivery.
+// serial, and step activations fanned out over two (workers) and three
+// (shards) shard workers.
 func diffConfigs() map[string]congest.Options {
 	return map[string]congest.Options{
-		"serial": {Seed: 5, DeliveryShards: -1},
-		"shards": {Seed: 5, DeliveryShards: 3},
+		"serial":  {Seed: 5, DeliveryShards: -1},
+		"workers": {Seed: 5, DeliveryShards: 2},
+		"shards":  {Seed: 5, DeliveryShards: 3},
 	}
 }
 
