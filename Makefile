@@ -73,15 +73,13 @@ fmt-check:
 # out of the regression gate by the benchjson -match default.
 # BenchmarkApproxMillion and BenchmarkBracketMillion are the serving
 # tiers at the same scale: the (1+ε) tier under the default τ policy
-# and the sampled-connectivity bracket tier. The BenchmarkEngineStep*
-# rows are the compiled step-machine twins of the exchange workloads
-# (BenchmarkEngineMillionStep* at the million scale); benchjson's
-# default -match gates the step expander rows alongside the goroutine
-# ones.
+# and the sampled-connectivity bracket tier. benchjson's default -match
+# gates the expander rows at both scales: ExpanderExchange,
+# ExpanderSparse, ExpanderShards and MillionExpanderExchange.
 # No pipe here: a panicking benchmark must fail the target, and `go
 # test | tee` would hide its exit status under sh (no pipefail).
 bench: bench-service
-	$(GO) test ./internal/congest -run '^$$' -bench 'BenchmarkEngine(Path|Expander|Community|Step)' -benchmem -count 3 > BENCH_engine.txt
+	$(GO) test ./internal/congest -run '^$$' -bench 'BenchmarkEngine(Path|Expander|Community)' -benchmem -count 3 > BENCH_engine.txt
 	$(GO) test ./internal/congest -run '^$$' -bench BenchmarkEngineMillion -benchmem -benchtime 1x -count 1 >> BENCH_engine.txt
 	$(GO) test . -run '^$$' -bench 'Benchmark(Pipeline|Approx|Bracket)Million' -benchmem -benchtime 1x -count 1 -timeout 150m >> BENCH_engine.txt
 	@cat BENCH_engine.txt

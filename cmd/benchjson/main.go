@@ -53,9 +53,12 @@ type Report struct {
 func main() {
 	compare := flag.Bool("compare", false, "compare two report files (old new) instead of converting stdin")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerated by -compare (0.20 = 20%)")
-	// The default gate covers the expander rows of both execution paths
-	// at both scales: BenchmarkEngineExpander*, BenchmarkEngineStepExpander*,
-	// BenchmarkEngineMillionExpander*, and BenchmarkEngineMillionStepExpander*.
+	// The default gate covers the expander rows at both scales:
+	// BenchmarkEngineExpander* and BenchmarkEngineMillionExpander*. The
+	// optional (Step) group still matches the BenchmarkEngineStep* rows
+	// that baselines recorded before the step execution path was
+	// removed, so comparing against such a baseline lists them as
+	// missing instead of ignoring them silently.
 	match := flag.String("match", "BenchmarkEngine(Million)?(Step)?Expander", "regexp of benchmark names gated by -compare")
 	allowMissing := flag.Bool("allow-missing", false, "exit 0 when the baseline has no benchmarks matching -match (new-metric grace)")
 	flag.Parse()

@@ -63,58 +63,7 @@ func pingPongProgram(a, b graph.NodeID, hops int) func(*Node) {
 	}
 }
 
-// stepExchange is the compiled twin of exchangeProgram: identical
-// sends, identical receive predicate, identical park points, with the
-// per-node cursor in a state slab instead of a goroutine stack. The
-// benchmark pair (BenchmarkEngineExpanderExchange vs
-// BenchmarkEngineStepExpanderExchange) is the headline comparison of
-// the two execution paths on the same workload, and the differential
-// suite asserts their Stats are bit-identical.
-type stepExchange struct {
-	rounds int
-	match  MatchFunc // one shared predicate; same semantics as the per-node closures
-	st     []stepExchangeState
-}
-
-type stepExchangeState struct {
-	started   bool
-	remaining int32
-}
-
-func newStepExchange(rounds int) *stepExchange {
-	return &stepExchange{rounds: rounds, match: MatchKind(benchKind)}
-}
-
-func (p *stepExchange) InitRun(n int) {
-	if cap(p.st) < n {
-		p.st = make([]stepExchangeState, n)
-	} else {
-		p.st = p.st[:n]
-		for i := range p.st {
-			p.st[i] = stepExchangeState{}
-		}
-	}
-}
-
-func (p *stepExchange) Step(nd *Node) Park {
-	st := &p.st[nd.ID()]
-	if !st.started {
-		st.started = true
-		for r := 0; r < p.rounds; r++ {
-			nd.SendAll(Message{Kind: benchKind, Tag: uint32(r)})
-		}
-		st.remaining = int32(p.rounds * nd.Degree())
-	}
-	for st.remaining > 0 {
-		if _, _, ok := nd.StepRecv(p.match); !ok {
-			return ParkRecv(p.match)
-		}
-		st.remaining--
-	}
-	return ParkDone()
-}
-
-func benchRun(b *testing.B, g *graph.Graph, opts Options, program Program) {
+func benchRun(b *testing.B, g *graph.Graph, opts Options, program func(*Node)) {
 	b.Helper()
 	b.ReportAllocs()
 	var delivered int64
@@ -137,7 +86,7 @@ func benchRun(b *testing.B, g *graph.Graph, opts Options, program Program) {
 // co-tenant noise of slab allocation and kernel page zeroing that
 // dominates cold setups at the million scale (see the PR 3 addendum in
 // CHANGES.md).
-func benchRunSplit(b *testing.B, g *graph.Graph, opts Options, program Program) {
+func benchRunSplit(b *testing.B, g *graph.Graph, opts Options, program func(*Node)) {
 	b.Helper()
 	b.ReportAllocs()
 	eng := NewEngine(opts)
@@ -194,36 +143,6 @@ func BenchmarkEngineExpanderExchange(b *testing.B) {
 func BenchmarkEngineCommunityExchange(b *testing.B) {
 	benchSetup()
 	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, exchangeProgram(8))
-}
-
-// BenchmarkEngineStep* run the same exchange workloads through the
-// compiled step path — no goroutines, no park/wake channels, one
-// direct call per activation. The Stats of each pair are bit-identical
-// (asserted by the differential determinism suite); only the execution
-// cost differs. StepExpanderExchange vs ExpanderExchange is the
-// headline msgs/s comparison.
-
-func BenchmarkEngineStepPathExchange(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.path, Options{DeliveryShards: -1}, newStepExchange(8))
-}
-
-func BenchmarkEngineStepExpanderExchange(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: -1}, newStepExchange(8))
-}
-
-func BenchmarkEngineStepCommunityExchange(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, newStepExchange(8))
-}
-
-// BenchmarkEngineStepExpanderShards adds shard-parallel stepping on top
-// of sharded delivery: activations and delivery both fan out over
-// GOMAXPROCS delivery-shard workers.
-func BenchmarkEngineStepExpanderShards(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: runtime.GOMAXPROCS(0)}, newStepExchange(8))
 }
 
 // BenchmarkEngineExpanderSparse: two nodes chatting on a 10k-node
@@ -305,17 +224,6 @@ func BenchmarkEngineMillionExpanderExchange(b *testing.B) {
 	benchRunSplit(b, millionGraphs.expander,
 		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
 		exchangeProgram(1))
-}
-
-// BenchmarkEngineMillionStepExpanderExchange is the step-path twin of
-// BenchmarkEngineMillionExpanderExchange: 2M messages per run on the
-// million-edge expander with every node active, driven as
-// shard-parallel state-machine sweeps instead of 250k goroutines.
-func BenchmarkEngineMillionStepExpanderExchange(b *testing.B) {
-	millionSetup(b)
-	benchRunSplit(b, millionGraphs.expander,
-		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
-		newStepExchange(1))
 }
 
 // BenchmarkEngineMillionPathSparse: two adjacent nodes chatting on a

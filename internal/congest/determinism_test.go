@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"distmincut/internal/graph"
 )
@@ -58,9 +59,28 @@ func determinismFamilies() map[string]*graph.Graph {
 	}
 }
 
+// roundKey is the deterministic portion of a RoundRecord: everything
+// but the clock readings.
+type roundKey struct {
+	Round          int
+	Delivered      int64
+	TotalDelivered int64
+	Woken          int
+	DirtyNodes     int
+}
+
+func roundKeys(recs []RoundRecord) []roundKey {
+	out := make([]roundKey, len(recs))
+	for i, r := range recs {
+		out[i] = roundKey{r.Round, r.Delivered, r.TotalDelivered, r.Woken, r.DirtyNodes}
+	}
+	return out
+}
+
 // TestDeterminismAcrossModes: for the same seed, the default delivery
 // mode, serial delivery, and sharded delivery at several shard counts
-// must produce bit-identical Stats on every generator family.
+// must produce bit-identical Stats on every generator family, and feed
+// an observer the same record stream round by round.
 func TestDeterminismAcrossModes(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -77,18 +97,28 @@ func TestDeterminismAcrossModes(t *testing.T) {
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
 			var want statsKey
+			var wantRecs []roundKey
 			for i, m := range modes {
-				stats, err := Run(g, Options{Seed: 42, DeliveryShards: m.shards}, chatterProgram)
+				obs := &collectObserver{}
+				stats, err := Run(g, Options{Seed: 42, DeliveryShards: m.shards, Observer: obs}, chatterProgram)
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
-				got := keyOf(stats)
+				got, gotRecs := keyOf(stats), roundKeys(obs.recs)
 				if i == 0 {
-					want = got
+					want, wantRecs = got, gotRecs
 					continue
 				}
 				if got != want {
 					t.Fatalf("%s stats diverged: got %+v, want %+v", m.name, got, want)
+				}
+				if len(gotRecs) != len(wantRecs) {
+					t.Fatalf("%s observed %d rounds, want %d", m.name, len(gotRecs), len(wantRecs))
+				}
+				for r := range gotRecs {
+					if gotRecs[r] != wantRecs[r] {
+						t.Fatalf("%s record %d diverged: got %+v, want %+v", m.name, r, gotRecs[r], wantRecs[r])
+					}
 				}
 			}
 			if want.leftover != 0 {
@@ -104,19 +134,13 @@ func TestDeterminismAcrossModes(t *testing.T) {
 // dirty-region reset path) and across runs that interleave different
 // graphs on one engine (the slab-reuse-with-rebuild path).
 func TestReusedEngineDeterminism(t *testing.T) {
-	// workers-2 runs the step form of the workload, whose activations
-	// fan out over two shard workers; the other modes run the blocking
-	// form.
-	blocking := func() any { return chatterProgram }
 	modes := []struct {
 		name   string
 		shards int
-		prog   func() any
 	}{
-		{"serial", -1, blocking},
-		{"workers-2", 2, func() any { return &stepChatter{} }},
-		{"shards-2", 2, blocking},
-		{"shards-gomaxprocs", runtime.GOMAXPROCS(0), blocking},
+		{"serial", -1},
+		{"shards-2", 2},
+		{"shards-gomaxprocs", runtime.GOMAXPROCS(0)},
 	}
 	families := determinismFamilies()
 	for _, m := range modes {
@@ -125,7 +149,7 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			// Fresh-engine baselines.
 			want := map[string]statsKey{}
 			for name, g := range families {
-				stats, err := Run(g, opts, m.prog())
+				stats, err := Run(g, opts, chatterProgram)
 				if err != nil {
 					t.Fatalf("%s fresh: %v", name, err)
 				}
@@ -135,9 +159,8 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			// exercise the warm same-graph path.
 			for name, g := range families {
 				eng := NewEngine(opts)
-				prog := m.prog()
 				for i := 0; i < 3; i++ {
-					stats, err := eng.Run(g, prog)
+					stats, err := eng.Run(g, chatterProgram)
 					if err != nil {
 						t.Fatalf("%s reuse run %d: %v", name, i, err)
 					}
@@ -152,10 +175,9 @@ func TestReusedEngineDeterminism(t *testing.T) {
 			eng := NewEngine(opts)
 			defer eng.Close()
 			order := []string{"path", "expander", "community", "complete"}
-			prog := m.prog()
 			for round := 0; round < 2; round++ {
 				for _, name := range order {
-					stats, err := eng.Run(families[name], prog)
+					stats, err := eng.Run(families[name], chatterProgram)
 					if err != nil {
 						t.Fatalf("%s cross-graph round %d: %v", name, round, err)
 					}
@@ -235,6 +257,36 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 		t.Fatalf("SetupNanos = %d, want > 0", stats.SetupNanos)
 	}
 	t.Logf("warm setup: %d ns", stats.SetupNanos)
+}
+
+// TestClosedEngineReleasesNodeSlab (whitebox): a closed engine that
+// stays referenced, like an idle service worker's, must not keep its
+// released node slab reachable through the pointer buffers it retains
+// for reuse. Once the slab's pool class is drained, a collection must
+// reclaim it.
+func TestClosedEngineReleasesNodeSlab(t *testing.T) {
+	g := graph.RandomRegular(512, 6, 5)
+	eng := NewEngine(Options{Seed: 7, DeliveryShards: 2})
+	if _, err := eng.Run(g, chatterProgram); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.AddCleanup(&eng.nodeSlab[0], func(ch chan struct{}) { close(ch) }, freed)
+	class := slabClass(cap(eng.nodeSlab))
+	eng.Close()
+	for nodeSlabPool[class].Get() != nil {
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(eng)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(eng)
+	t.Fatal("closed engine still keeps its released node slab reachable")
 }
 
 // TestDeterminismUnbounded: the span-copy delivery of Unbounded mode
@@ -333,12 +385,10 @@ func TestDeterminismAcrossSeeds(t *testing.T) {
 	}
 }
 
-// Worker-pool execution: with two or more delivery shards, a step
-// program's wake list is split over the shard workers once it reaches
-// parallelStepMin, so node programs run on a bounded pool instead of
-// one goroutine each. The pool must preserve every engine edge case,
-// not just the happy path; each graph below wakes at least
-// parallelStepMin nodes at once so the fan-out path runs.
+// The TestWorkers* tests hold the engine's edge cases under two
+// delivery shards on graphs of 2·parallelMatchMin nodes, large enough
+// that receive matching fans out over the shard workers; the 2–6-node
+// graphs of the TestShards* tests never reach that path.
 
 // workerPairs is a perfect matching on n nodes: 2i–2i+1 for every i.
 func workerPairs(n int) *graph.Graph {
@@ -349,10 +399,30 @@ func workerPairs(n int) *graph.Graph {
 	return g
 }
 
+// pairPingPong bounces a token k times across every pair of
+// workerPairs: each even node sends on port 0 and awaits the echo, each
+// odd node echoes whatever arrives.
+func pairPingPong(k int) func(*Node) {
+	return func(nd *Node) {
+		match := MatchKindTag(kindToken, 0)
+		for i := 0; i < k; i++ {
+			if nd.ID()%2 == 0 {
+				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
+				if _, m := nd.Recv(match); m.A != int64(i) {
+					panic("token payload corrupted")
+				}
+			} else {
+				_, m := nd.Recv(match)
+				nd.Send(0, m)
+			}
+		}
+	}
+}
+
 func TestWorkersPingPong(t *testing.T) {
-	g := workerPairs(2 * parallelStepMin)
+	g := workerPairs(2 * parallelMatchMin)
 	const k = 7
-	stats, err := Run(g, Options{DeliveryShards: 2}, &stepPingPong{k: k})
+	stats, err := Run(g, Options{DeliveryShards: 2}, pairPingPong(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,16 +435,13 @@ func TestWorkersPingPong(t *testing.T) {
 }
 
 func TestWorkersPanicPropagation(t *testing.T) {
-	g := graph.Cycle(2 * parallelStepMin)
-	prog := &stepFuncProgram{
-		step: func(nd *Node) Park {
-			if nd.ID() == 100 {
-				panic("boom")
-			}
-			return ParkRecv(MatchKind(kindToken))
-		},
-	}
-	_, err := Run(g, Options{DeliveryShards: 2}, prog)
+	g := graph.Cycle(2 * parallelMatchMin)
+	_, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
+		if nd.ID() == 100 {
+			panic("boom")
+		}
+		nd.Recv(MatchKind(kindToken))
+	})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Node != 100 {
 		t.Fatalf("err = %v, want PanicError from node 100", err)
@@ -382,393 +449,36 @@ func TestWorkersPanicPropagation(t *testing.T) {
 }
 
 func TestWorkersDeadlockDetection(t *testing.T) {
-	g := graph.Path(2 * parallelStepMin)
-	prog := &stepFuncProgram{
-		step: func(nd *Node) Park { return ParkRecv(MatchKind(kindToken)) },
-	}
-	_, err := Run(g, Options{DeliveryShards: 2}, prog)
+	g := graph.Path(2 * parallelMatchMin)
+	_, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
+		nd.Recv(MatchKind(kindToken))
+	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 }
 
 func TestWorkersMaxRounds(t *testing.T) {
-	g := workerPairs(2 * parallelStepMin)
-	_, err := Run(g, Options{MaxRounds: 10, DeliveryShards: 2}, &stepPingPong{k: 1 << 30})
+	g := workerPairs(2 * parallelMatchMin)
+	_, err := Run(g, Options{MaxRounds: 10, DeliveryShards: 2}, pairPingPong(1<<30))
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
 }
 
 func TestWorkersSleepFastForward(t *testing.T) {
-	g := graph.Path(2 * parallelStepMin)
+	g := graph.Path(2 * parallelMatchMin)
 	const target = 1000
-	var slept []bool
-	prog := &stepFuncProgram{
-		init: func(n int) { slept = make([]bool, n) },
-		step: func(nd *Node) Park {
-			if !slept[nd.ID()] {
-				slept[nd.ID()] = true
-				return ParkSleep(target)
-			}
-			if nd.Round() != target {
-				panic("woke at wrong round")
-			}
-			return ParkDone()
-		},
-	}
-	stats, err := Run(g, Options{DeliveryShards: 2}, prog)
+	stats, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
+		nd.Sleep(target)
+		if nd.Round() != target {
+			panic("woke at wrong round")
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds != target {
 		t.Fatalf("rounds = %d, want %d", stats.Rounds, target)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Differential determinism: the compiled step path vs the goroutine
-// path. For every program ported to step form, the two executions must
-// be bit-identical — same Stats, same marks — on every generator family
-// and execution mode. The protocol-level half of this layer (BFS and
-// the step collectives vs their blocking twins) lives in
-// internal/proto/step_diff_test.go.
-
-// stepChatter is the step twin of chatterProgram: the same RNG draws in
-// the same order, the same sends, the same park points. Any divergence
-// in scheduling between the two paths shows up as a Stats mismatch.
-type stepChatter struct {
-	st []stepChatterState
-}
-
-type stepChatterState struct {
-	pc      int
-	markers int
-}
-
-func (c *stepChatter) InitRun(n int) {
-	if cap(c.st) < n {
-		c.st = make([]stepChatterState, n)
-	} else {
-		c.st = c.st[:n]
-		for i := range c.st {
-			c.st[i] = stepChatterState{}
-		}
-	}
-}
-
-func (c *stepChatter) Step(nd *Node) Park {
-	const (
-		kData  uint8 = 3
-		kClose uint8 = 4
-	)
-	st := &c.st[nd.ID()]
-	for {
-		switch st.pc {
-		case 0:
-			reps := 1 + nd.Rand().Intn(4)
-			for i := 0; i < reps; i++ {
-				nd.SendAll(Message{Kind: kData, Tag: uint32(i), A: int64(nd.ID())})
-			}
-			st.pc = 1
-			if nd.Rand().Intn(2) == 0 {
-				return ParkSleep(1 + nd.Rand().Intn(3))
-			}
-		case 1:
-			nd.SendAll(Message{Kind: kClose})
-			st.pc = 2
-		case 2:
-			for st.markers < nd.Degree() {
-				_, m, ok := nd.StepRecv(MatchAny)
-				if !ok {
-					return ParkRecv(MatchAny)
-				}
-				if m.Kind == kClose {
-					st.markers++
-				}
-			}
-			return ParkDone()
-		}
-	}
-}
-
-// phasedProgram is a two-phase exchange whose phase boundaries node 0
-// records as begin:/end: marks, with a sleep separating the phases — a
-// miniature of how the pipeline instruments its steps.
-func phasedProgram(nd *Node) {
-	if nd.ID() == 0 {
-		nd.Mark("begin:exchange")
-	}
-	nd.SendAll(Message{Kind: kindData})
-	for i := 0; i < nd.Degree(); i++ {
-		nd.Recv(MatchKind(kindData))
-	}
-	if nd.ID() == 0 {
-		nd.Mark("end:exchange")
-	}
-	nd.Sleep(2)
-	if nd.ID() == 0 {
-		nd.Mark("begin:echo")
-	}
-	nd.SendAll(Message{Kind: kindToken})
-	for i := 0; i < nd.Degree(); i++ {
-		nd.Recv(MatchKind(kindToken))
-	}
-	if nd.ID() == 0 {
-		nd.Mark("end:echo")
-	}
-}
-
-// stepPhased is phasedProgram in step form: same sends, same marks at
-// the same points, same park structure.
-type stepPhased struct {
-	st []stepPhasedState
-}
-
-type stepPhasedState struct {
-	pc  int
-	got int
-}
-
-func (c *stepPhased) InitRun(n int) {
-	if cap(c.st) < n {
-		c.st = make([]stepPhasedState, n)
-	} else {
-		c.st = c.st[:n]
-		for i := range c.st {
-			c.st[i] = stepPhasedState{}
-		}
-	}
-}
-
-func (c *stepPhased) Step(nd *Node) Park {
-	st := &c.st[nd.ID()]
-	for {
-		switch st.pc {
-		case 0:
-			if nd.ID() == 0 {
-				nd.Mark("begin:exchange")
-			}
-			nd.SendAll(Message{Kind: kindData})
-			st.pc = 1
-		case 1:
-			for st.got < nd.Degree() {
-				if _, _, ok := nd.StepRecv(MatchKind(kindData)); !ok {
-					return ParkRecv(MatchKind(kindData))
-				}
-				st.got++
-			}
-			if nd.ID() == 0 {
-				nd.Mark("end:exchange")
-			}
-			st.pc = 2
-			return ParkSleep(2)
-		case 2:
-			if nd.ID() == 0 {
-				nd.Mark("begin:echo")
-			}
-			nd.SendAll(Message{Kind: kindToken})
-			st.got = 0
-			st.pc = 3
-		case 3:
-			for st.got < nd.Degree() {
-				if _, _, ok := nd.StepRecv(MatchKind(kindToken)); !ok {
-					return ParkRecv(MatchKind(kindToken))
-				}
-				st.got++
-			}
-			if nd.ID() == 0 {
-				nd.Mark("end:echo")
-			}
-			return ParkDone()
-		}
-	}
-}
-
-// fullKey extends statsKey with the dirty-node count and the normalized
-// mark stream (label, round, node, delivered — everything but the
-// wall-clock field).
-type fullKey struct {
-	statsKey
-	dirty int
-	marks string
-}
-
-func fullKeyOf(t *testing.T, s *Stats) fullKey {
-	t.Helper()
-	var b []byte
-	for _, m := range s.Marks {
-		b = append(b, []byte(m.Label)...)
-		b = append(b, '@')
-		b = appendInts(b, m.Round, int(m.Node), int(m.Delivered))
-	}
-	return fullKey{statsKey: keyOf(s), dirty: s.DirtyNodes, marks: string(b)}
-}
-
-func appendInts(b []byte, vals ...int) []byte {
-	for _, v := range vals {
-		if v < 0 {
-			b = append(b, '-')
-			v = -v
-		}
-		var tmp [20]byte
-		i := len(tmp)
-		for {
-			i--
-			tmp[i] = byte('0' + v%10)
-			v /= 10
-			if v == 0 {
-				break
-			}
-		}
-		b = append(b, tmp[i:]...)
-		b = append(b, ';')
-	}
-	return b
-}
-
-// stepDiffModes are the execution configurations the two paths are
-// compared under: serial, and step activations fanned out over two and
-// three shard workers.
-func stepDiffModes() map[string]Options {
-	return map[string]Options{
-		"serial":    {Seed: 42, DeliveryShards: -1},
-		"workers-2": {Seed: 42, DeliveryShards: 2},
-		"shards-3":  {Seed: 42, DeliveryShards: 3},
-	}
-}
-
-// TestStepDifferentialChatter: the RNG-driven chatter workload must be
-// bit-identical between the goroutine and step paths on every family
-// and mode — including the per-node RNG draw sequence, sleeps, and the
-// selective-receive drain.
-func TestStepDifferentialChatter(t *testing.T) {
-	for fam, g := range determinismFamilies() {
-		for mode, opts := range stepDiffModes() {
-			t.Run(fam+"/"+mode, func(t *testing.T) {
-				bs, err := Run(g, opts, chatterProgram)
-				if err != nil {
-					t.Fatalf("goroutine path: %v", err)
-				}
-				ss, err := Run(g, opts, &stepChatter{})
-				if err != nil {
-					t.Fatalf("step path: %v", err)
-				}
-				if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
-					t.Fatalf("step path diverged: got %+v, want %+v", got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestStepDifferentialMarks: the phased, mark-recording workload must
-// produce the identical mark stream — labels, rounds, delivered counts
-// — on both paths.
-func TestStepDifferentialMarks(t *testing.T) {
-	for fam, g := range determinismFamilies() {
-		for mode, opts := range stepDiffModes() {
-			t.Run(fam+"/"+mode, func(t *testing.T) {
-				bs, err := Run(g, opts, phasedProgram)
-				if err != nil {
-					t.Fatalf("goroutine path: %v", err)
-				}
-				ss, err := Run(g, opts, &stepPhased{})
-				if err != nil {
-					t.Fatalf("step path: %v", err)
-				}
-				if bs.Marks == nil || len(bs.Marks) != 4 {
-					t.Fatalf("expected 4 marks, got %v", bs.Marks)
-				}
-				if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
-					t.Fatalf("step path diverged: got %+v, want %+v", got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestStepWarmEngineAlternatingModes: one retained engine alternating
-// goroutine and step programs run-over-run must reproduce the fresh
-// fingerprints every time — neither path's warm-state shortcuts
-// (phase staleness, wake-channel slabs, program state slabs) may leak
-// into the other.
-func TestStepWarmEngineAlternatingModes(t *testing.T) {
-	g := graph.RandomRegular(64, 6, 11)
-	opts := Options{Seed: 42}
-	bs, err := Run(g, opts, chatterProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := Run(g, opts, &stepChatter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fullKeyOf(t, bs)
-	if got := fullKeyOf(t, ss); got != want {
-		t.Fatalf("fresh step run diverged: got %+v, want %+v", got, want)
-	}
-	eng := NewEngine(opts)
-	defer eng.Close()
-	step := &stepChatter{}
-	for rep := 0; rep < 6; rep++ {
-		var stats *Stats
-		var err error
-		if rep%2 == 0 {
-			stats, err = eng.Run(g, chatterProgram)
-		} else {
-			stats, err = eng.Run(g, step)
-		}
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		if got := fullKeyOf(t, stats); got != want {
-			t.Fatalf("rep %d diverged: got %+v, want %+v", rep, got, want)
-		}
-	}
-}
-
-// TestStepReusedEngineAfterAbort: aborted step runs (deadlock, panic
-// mid-traffic) must not poison a retained engine for either path.
-func TestStepReusedEngineAfterAbort(t *testing.T) {
-	g := graph.RandomRegular(64, 6, 11)
-	opts := Options{Seed: 42}
-	fresh, err := Run(g, opts, chatterProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fullKeyOf(t, fresh)
-	eng := NewEngine(opts)
-	defer eng.Close()
-	// Step deadlock: every node parks in Recv with no traffic.
-	deadlock := &stepFuncProgram{step: func(nd *Node) Park { return ParkRecv(MatchAny) }}
-	if _, err := eng.Run(g, deadlock); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	stats, err := eng.Run(g, chatterProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fullKeyOf(t, stats); got != want {
-		t.Fatalf("goroutine run after step deadlock diverged: got %+v, want %+v", got, want)
-	}
-	// Step panic mid-traffic leaves staged messages behind; a step rerun
-	// must still match.
-	bomber := &stepFuncProgram{step: func(nd *Node) Park {
-		nd.SendAll(Message{Kind: kindData})
-		if nd.ID() == 3 {
-			panic("step boom")
-		}
-		return ParkRecv(MatchKind(kindData))
-	}}
-	if _, err := eng.Run(g, bomber); err == nil {
-		t.Fatal("expected panic error")
-	}
-	stats, err = eng.Run(g, &stepChatter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fullKeyOf(t, stats); got != want {
-		t.Fatalf("step run after step panic diverged: got %+v, want %+v", got, want)
 	}
 }

@@ -191,17 +191,12 @@ func (e *PanicError) Error() string {
 // per-shard delivered counts and receiver sets, (3) computes the wake
 // list from satisfied Recv predicates (evaluated in parallel over the
 // same shards when the receiver set is large) and due sleepers, and
-// (4) dispatches it — waking every listed node's goroutine at once, or
-// calling a step program's Step on each (see step.go).
+// (4) dispatches it, waking every listed node's goroutine at once.
 type Engine struct {
-	g    *graph.Graph
-	opts Options
-	// Exactly one of program / stepProg is set per run, from Run's
-	// dispatch on the Program's dynamic type: program hosts the blocking
-	// goroutine path, stepProg the compiled step path (see step.go).
-	program  func(*Node)
-	stepProg StepProgram
-	nodes    []*Node
+	g       *graph.Graph
+	opts    Options
+	program func(*Node)
+	nodes   []*Node
 
 	round     int
 	delivered int64
@@ -294,7 +289,7 @@ type Engine struct {
 	wakeChs  []chan struct{}
 	nodeSlab []Node
 
-	// Park barrier: every dispatched node ends its activation in
+	// Round barrier: every dispatched node ends its activation in
 	// notifyPark, which counts running down and signals roundDone at
 	// zero. Nodes that parked in Sleep or exited are queued on notified
 	// for the coordinator (Recv parks need no attention).
@@ -334,13 +329,6 @@ type deliveryShard struct {
 	lo, hi int
 	wake   []*Node
 
-	// Step-dispatch state (step programs only): the chunk of the
-	// current wake list this shard activates, and the sleep/done
-	// notifications its activations produced (merged by the coordinator
-	// in shard order, like wake sublists).
-	stepWake     []*Node
-	stepNotified []*Node
-
 	// nanos is the shard's self-measured delivery wall time for the
 	// current round; written only when the engine's observer timing is
 	// armed.
@@ -354,7 +342,6 @@ type shardTask uint8
 const (
 	taskDeliver shardTask = iota
 	taskMatch
-	taskStep
 )
 
 // maxPreallocMessages caps the per-run message slab (in messages, 40 B
@@ -484,45 +471,51 @@ func (e *Engine) Close() {
 		putNodeSlab(e.nodeSlab)
 		e.nodeSlab = nil
 	}
+	// Every buffer below may still hold pointers into the released node
+	// slab. Clearing them over their full capacity keeps them for reuse
+	// without keeping the slab reachable once its pool drops it.
+	e.wake = clearCap(e.wake)
+	e.newSenders = clearCap(e.newSenders)
+	e.receivers = clearCap(e.receivers)
+	e.notified = clearCap(e.notified)
+	e.sleepers = clearCap(e.sleepers)
+	for _, sh := range e.shards {
+		sh.senders = clearCap(sh.senders)
+		sh.scratch = clearCap(sh.scratch)
+		sh.receivers = clearCap(sh.receivers)
+		sh.wake = clearCap(sh.wake)
+	}
 	e.g = nil
 	e.nodes = nil
-	e.dirtyNodes = nil // pointers into the released node slab
+	e.dirtyNodes = nil
 	e.needFullInit = true
+}
+
+// clearCap zeroes s over its full capacity and returns it emptied.
+func clearCap[S ~[]T, T any](s S) S {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Run simulates program on every node of g and returns run statistics.
 // The graph must be connected and have deterministic port numbering
-// (generators call SortAdjacency; see graph docs). The program is
-// either a blocking func(*Node) or a compiled StepProgram (see
-// Program). One-shot form of (*Engine).Run; see Engine for the
-// reusable lifecycle.
-func Run(g *graph.Graph, opts Options, program Program) (*Stats, error) {
+// (generators call SortAdjacency; see graph docs). One-shot form of
+// (*Engine).Run; see Engine for the reusable lifecycle.
+func Run(g *graph.Graph, opts Options, program func(*Node)) (*Stats, error) {
 	e := NewEngine(opts)
 	defer e.Close()
 	return e.Run(g, program)
 }
 
-// Run executes program — a blocking func(*Node) or a compiled
-// StepProgram (see Program) — on every node of g. Stats are
-// bit-identical to a fresh engine's for the same graph, options, and
-// seed — reuse never leaks state between runs, and an engine may
-// alternate freely between blocking and step programs. The graph must
-// not be mutated between runs that share it.
-func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
+// Run executes program on every node of g, each node on its own
+// goroutine. Stats are bit-identical to a fresh engine's for the same
+// graph, options, and seed: reuse never leaks state between runs. The
+// graph must not be mutated between runs that share it.
+func (e *Engine) Run(g *graph.Graph, program func(*Node)) (*Stats, error) {
 	start := time.Now()
 	e.runStart = start
-	switch p := program.(type) {
-	case func(*Node):
-		e.program, e.stepProg = p, nil
-	case StepProgram:
-		e.program, e.stepProg = nil, p
-	default:
-		return nil, fmt.Errorf("congest: program must be a func(*congest.Node) or a congest.StepProgram, got %T", program)
-	}
+	e.program = program
 	e.setupRun(g)
-	if e.stepProg != nil {
-		e.stepProg.InitRun(g.N())
-	}
 	e.setupNanos = time.Since(start).Nanoseconds()
 	err := e.coordinate()
 	e.termWG.Wait()
@@ -538,9 +531,9 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 		// everything next time rather than trusting the dirty list.
 		e.needFullInit = true
 	}
-	// Drop the program references so a retained engine does not pin the
-	// caller's closures or state slabs between runs.
-	e.program, e.stepProg = nil, nil
+	// Drop the program reference so a retained engine does not pin the
+	// caller's closure between runs.
+	e.program = nil
 	return stats, err
 }
 
@@ -885,14 +878,9 @@ func (e *Engine) activate(nd *Node) {
 }
 
 // dispatch runs one activation of every node in wake and returns when
-// all of them have parked or exited. Step programs run as direct calls
-// (see dispatchStep); blocking programs have every scheduled node's
-// goroutine made runnable at once.
+// all of them have parked or exited: every scheduled node's goroutine
+// is made runnable at once.
 func (e *Engine) dispatch(wake []*Node) {
-	if e.stepProg != nil {
-		e.dispatchStep(wake)
-		return
-	}
 	if len(wake) == 0 {
 		return
 	}
@@ -1162,8 +1150,6 @@ func (sh *deliveryShard) loop(tasks <-chan shardTask) {
 			sh.deliver()
 		case taskMatch:
 			sh.match()
-		case taskStep:
-			sh.stepRange()
 		}
 		sh.eng.shardDone <- struct{}{}
 	}
@@ -1342,15 +1328,11 @@ func (e *Engine) matches(nd *Node) bool {
 
 // abort wakes every parked node so its goroutine unwinds via the
 // errAborted panic and returns the causing error; never-activated
-// nodes have no goroutine to unwind, and step programs have no
-// goroutines at all — their parked nodes are plain state and need no
-// teardown. It must only be called from coordinate, i.e. while every
-// started node is parked; the caller waits for the unwind via termWG.
+// nodes have no goroutine to unwind. It must only be called from
+// coordinate, i.e. while every started node is parked; the caller
+// waits for the unwind via termWG.
 func (e *Engine) abort(cause error) error {
 	e.aborted.Store(true)
-	if e.stepProg != nil {
-		return cause
-	}
 	for _, nd := range e.nodes {
 		if nd.phase == phaseRecv || nd.phase == phaseSleep {
 			nd.wakeCh <- struct{}{}

@@ -5,49 +5,24 @@
 //
 // # Execution model
 //
-// A node program runs in one of two ways, chosen by its type (see
-// Program):
-//
-//   - A blocking program is ordinary Go code, a func(*Node), run on
-//     its own goroutine that holds the program's state on its stack
-//     between rounds, and parks by blocking in Recv or Sleep.
-//   - A compiled step program is an explicit state machine, a
-//     StepProgram. The engine calls Step on each activated node and
-//     acts on the returned Park (ParkRecv, ParkSleep, ParkDone): no
-//     goroutine, channel or stack per node.
-//
-// Either way a node stages outgoing messages in one FIFO per port; the
-// runtime transmits the head of every FIFO each round, so multi-message
-// transfers are automatically pipelined and pay their true round cost.
-// A round-synchronous scheduler advances the global round only when
+// A node program is ordinary Go code, a func(*Node). Each node runs it
+// on its own goroutine, which holds the program's state on its stack
+// between rounds and parks by blocking in Recv or Sleep. A node stages
+// outgoing messages in one FIFO per port; the runtime transmits the
+// head of every FIFO each round, so multi-message transfers are
+// automatically pipelined and pay their true round cost. A
+// round-synchronous scheduler advances the global round only when
 // every node is parked, delivers the head of every staged edge queue,
 // and wakes exactly the nodes whose receive predicate is now satisfied
-// or whose sleep deadline passed. Rounds with no traffic and no due
-// wake-ups are fast-forwarded, and delivery walks a registry of nodes
-// with staged traffic rather than all n nodes, so simulation cost is
-// proportional to messages moved plus nodes woken — not n x rounds.
-// The scheduler's round loop reuses per-engine scratch buffers (an
-// epoch-stamped receiver array, a wake list, per-shard sender
-// registries) and slab-allocates every queue and its initial ring, so
-// steady-state simulation does not allocate.
-//
-// Both modes share the same coordinator, sender registry, queues,
-// wake-set construction, observer hook and warm-engine lifecycle, so a
-// step program that parks at the same points with the same predicates
-// and sends as a blocking program produces bit-identical Stats and
-// marks. The differential suites in determinism_test.go (engine
-// workloads) and internal/proto/step_diff_test.go (BFS and the step
-// collectives vs their blocking twins) enforce that equivalence. A
-// blocking round makes every woken goroutine runnable at once; a step
-// round calls Step inline on the coordinator, or, for large wake sets,
-// in contiguous chunks over the delivery-shard workers, which is safe
-// because Step touches only its own node's state and program slabs are
-// indexed by node ID. Step programs use StepRecv (TryRecv plus the
-// scheduler's match hint); calling the blocking Recv or Sleep from a
-// step program panics. NewStepSeq chains step programs sequentially,
-// entering the next within the activation the previous one finishes —
-// the step analogue of a blocking program calling two protocols
-// back-to-back.
+// or whose sleep deadline passed, making all of their goroutines
+// runnable at once. Rounds with no traffic and no due wake-ups are
+// fast-forwarded, and delivery walks a registry of nodes with staged
+// traffic rather than all n nodes, so simulation cost is proportional
+// to messages moved plus nodes woken — not n x rounds. The scheduler's
+// round loop reuses per-engine scratch buffers (an epoch-stamped
+// receiver array, a wake list, per-shard sender registries) and
+// slab-allocates every queue and its initial ring, so steady-state
+// simulation does not allocate.
 //
 // # Engine reuse and lazy activation
 //
@@ -63,15 +38,14 @@
 // remains. Close releases the slabs to process-wide pools; the
 // package-level Run is the one-shot NewEngine + Run + Close.
 //
-// Activation is lazy: a blocking program's goroutine is spawned at the
-// node's first activation (round 0), and a node's wake channel is
+// Activation is lazy: a node's goroutine is spawned at its first
+// activation (round 0), and a node's wake channel is
 // created only at its first park, so programs that exit without
 // parking never allocate one. Per-node run state left by the previous
 // run is cleared at that first activation rather than by an O(n)
 // teardown pass. Reuse never leaks state: per-node RNGs reseed lazily
 // per run, and a reused engine's Stats are bit-identical to a fresh
-// engine's for the same graph, options, and seed, for either kind of
-// program.
+// engine's for the same graph, options, and seed.
 //
 // # Sharded delivery
 //
@@ -89,18 +63,19 @@
 //
 // # Determinism
 //
-// Activations within a round run concurrently (woken goroutines, or
-// step chunks on shard workers) but touch only their own node state;
-// message delivery and round advancement happen while all nodes are
-// parked, and each (sender, port) pair feeds its own per-port FIFO at
-// the receiver, so queue contents are independent of delivery
-// iteration order. Per-node RNGs are seeded from Options.Seed and the
-// node ID. Two runs with the same graph, options, and program produce
-// identical Stats (rounds, sent, delivered, wakeups, leftover) — and so
-// do runs that differ only in Options.DeliveryShards, or that run a
-// step program in place of its blocking twin. The one
-// scheduling-dependent quantity is the interleaving of Marks recorded
-// by different nodes within the same round.
+// Activations within a round run concurrently on the woken goroutines
+// but touch only their own node state; message delivery and round
+// advancement happen while all nodes are parked, and each (sender,
+// port) pair feeds its own per-port FIFO at the receiver, so queue
+// contents are independent of delivery iteration order. Per-node RNGs
+// are seeded from Options.Seed and the node ID. Two runs with the same
+// graph, options, and program produce identical Stats (rounds, sent,
+// delivered, wakeups, leftover) and feed an Observer the same per-round
+// counts, and so do runs that differ only in Options.DeliveryShards.
+// The golden fingerprints in testdata/golden.json pin these counts
+// under serial and sharded delivery. The one scheduling-dependent
+// quantity is the interleaving of Marks recorded by different nodes
+// within the same round.
 //
 // # Model fidelity
 //

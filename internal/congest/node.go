@@ -21,9 +21,7 @@ const (
 )
 
 // Node is the per-processor handle passed to the node program. All
-// methods must be called only from the node's own activation: its
-// goroutine for a blocking program, its Step call for a step program
-// (which may run on a delivery-shard worker).
+// methods must be called only from the node's own goroutine.
 type Node struct {
 	id  graph.NodeID
 	eng *Engine
@@ -186,31 +184,9 @@ func (nd *Node) TryRecv(match MatchFunc) (int, Message, bool) {
 	return 0, Message{}, false
 }
 
-// StepRecv is TryRecv for step programs, consuming the scheduler's
-// match hint when one is pending: a node woken from ParkRecv has
-// already had its first matching message located (lowest port, FIFO
-// within a port) by the wake predicate, so its Step can consume it
-// directly instead of rescanning every port — the exact counterpart of
-// the blocking Recv's post-wake hint path. The hint is revalidated
-// against match before use, so calling StepRecv with a different
-// predicate than the one parked on is safe (it falls back to a scan).
-func (nd *Node) StepRecv(match MatchFunc) (int, Message, bool) {
-	if p := int(nd.hintPort); p >= 0 {
-		i := int(nd.hintIdx)
-		nd.hintPort = -1
-		q := &nd.inQ[p]
-		if i < q.n && match(p, q.at(i)) {
-			return p, q.removeAt(&msgBufPool, i), true
-		}
-	}
-	return nd.TryRecv(match)
-}
-
 // Recv blocks until a message matching match is available, then
 // consumes and returns it. Non-matching messages stay buffered for
-// later Recv calls (selective receive). Blocking is only possible on
-// the goroutine path: calling Recv from a step program panics (use
-// StepRecv + ParkRecv instead).
+// later Recv calls (selective receive).
 func (nd *Node) Recv(match MatchFunc) (int, Message) {
 	if p, m, ok := nd.TryRecv(match); ok {
 		return p, m
@@ -262,10 +238,6 @@ func (nd *Node) Mark(label string) {
 // the channel is cached in the engine's wake slab and reused by every
 // later run.
 func (nd *Node) park(ph nodePhase) {
-	if nd.eng.stepProg != nil {
-		panic(fmt.Sprintf(
-			"congest: node %d called blocking Recv/Sleep from a step program; return ParkRecv/ParkSleep instead", nd.id))
-	}
 	if nd.wakeCh == nil {
 		e := nd.eng
 		if ch := e.wakeChs[nd.id]; ch != nil {
