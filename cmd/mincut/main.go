@@ -32,7 +32,6 @@ func run() int {
 	mode := flag.String("mode", "exact", "exact | approx | respect")
 	eps := flag.Float64("eps", 0.25, "approximation parameter (approx mode)")
 	seed := flag.Int64("seed", 1, "seed")
-	shards := flag.Int("shards", 0, "run message delivery on this many shards (0 = one per CPU, negative = serial)")
 	weights := flag.String("weights", "", "random edge weights lo,hi (e.g. 1,50)")
 	flag.Parse()
 
@@ -65,7 +64,7 @@ func run() int {
 	}
 	fmt.Printf("ground truth (Stoer–Wagner): λ = %d\n\n", sw)
 
-	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps, DeliveryShards: *shards}
+	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps}
 	var res *distmincut.Result
 	switch *mode {
 	case "exact":

@@ -13,7 +13,6 @@
 // Usage:
 //
 //	mincutd [-addr :8371] [-pool 4] [-queue 256] [-cache 4096]
-//	        [-shards 0] [-checkpayload]
 //	        [-max-nodes 200000] [-max-edges 2000000] [-drain 30s]
 //	        [-default-deadline 0] [-max-job-rounds 0]
 //	        [-admit-ceiling 0] [-admit-downtier]
@@ -109,8 +108,6 @@ func run() int {
 	pool := flag.Int("pool", 0, "concurrent protocol runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "max queued jobs before 503")
 	cacheEntries := flag.Int("cache", 4096, "result cache entries")
-	shards := flag.Int("shards", 0, "CONGEST delivery shards per run (0 = serial; the worker pool is the parallelism)")
-	checkPayload := flag.Bool("checkpayload", false, "enable the runtime payload-overflow guard on every run")
 	maxNodes := flag.Int("max-nodes", 0, "max nodes per accepted graph (0 = default)")
 	maxEdges := flag.Int("max-edges", 0, "max edges per accepted graph (0 = default)")
 	maxBody := flag.Int64("max-body", 0, "max submit body bytes (0 = default)")
@@ -146,8 +143,6 @@ func run() int {
 		QueueDepth:      *queue,
 		CacheEntries:    *cacheEntries,
 		Limits:          service.Limits{MaxNodes: *maxNodes, MaxEdges: *maxEdges},
-		DeliveryShards:  *shards,
-		CheckPayload:    *checkPayload,
 		DefaultDeadline: *defaultDeadline,
 		MaxJobRounds:    *maxJobRounds,
 		Admission:       service.AdmissionOptions{CeilingRounds: *admitCeiling, Downtier: *admitDowntier},

@@ -57,15 +57,6 @@ type Options struct {
 	// (default 2^20). Beyond it MinCut returns its best cut found with
 	// Exact=false; use ApproxMinCut for large cuts.
 	MaxLambda int64
-	// TauPolicy picks the packing size for a cut guess; nil uses
-	// packing.PracticalTau. packing.TheoreticalTau is Thorup's bound.
-	TauPolicy func(lambda int64, n int) int
-	// ApproxTauMax caps trees packed per sampling level (default 32).
-	ApproxTauMax int
-	// BracketTrials is the number of independent skeletons BracketMinCut
-	// tests per sampling level (default 3); more trials sharpen the
-	// bracket's lower bound.
-	BracketTrials int
 	// SizeCap overrides the √n fragment size threshold (E9 ablation).
 	SizeCap int
 	// Unbounded switches the runtime to unbounded per-edge bandwidth
@@ -83,26 +74,17 @@ type Options struct {
 	// deadline, so a context.WithDeadline context bounds the run even
 	// if this field is zero.
 	Deadline time.Time
-	// DeliveryShards partitions the runtime's message-delivery phase
-	// over this many worker goroutines (see
-	// congest.Options.DeliveryShards). Zero picks the runtime default
-	// (one shard per available CPU, serial on a single-CPU machine);
-	// negative forces serial delivery. Results are identical either
-	// way.
-	DeliveryShards int
 	// Engine, when non-nil, runs the protocol on this reusable runtime
 	// (congest.NewEngine) instead of a one-shot engine. A warm engine
 	// retains its slabs and port tables between runs, so repeated
 	// computations — same graph or same scale — skip nearly all of the
 	// per-run setup (see congest.Engine). The engine's options are
-	// overwritten from this struct for every run. The caller must not
-	// use one engine from concurrent computations.
+	// overwritten from this struct for every run, except its delivery
+	// shard count: an engine created with a nonzero
+	// congest.Options.DeliveryShards keeps delivering on that many
+	// shards. The caller must not use one engine from concurrent
+	// computations.
 	Engine *congest.Engine
-	// CheckPayload enables the runtime's payload-overflow guard: any
-	// message staged with a payload word outside ±2^62 fails the run
-	// loudly instead of corrupting the protocol. See
-	// congest.Options.CheckPayload.
-	CheckPayload bool
 	// Observer, when non-nil, receives one congest.RoundRecord per
 	// simulated round at the runtime's round barrier — per-round message
 	// and wake counts plus wall-clock delivery timings. Arm a
@@ -112,6 +94,10 @@ type Options struct {
 	// default) costs nothing. See congest.Options.Observer.
 	Observer congest.Observer
 }
+
+// approxTauMax caps the trees packed per sampling level of
+// ApproxMinCut.
+const approxTauMax = 32
 
 func (o *Options) withDefaults() Options {
 	var out Options
@@ -126,9 +112,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxLambda <= 0 {
 		out.MaxLambda = 1 << 20
-	}
-	if out.ApproxTauMax <= 0 {
-		out.ApproxTauMax = 32
 	}
 	return out
 }
@@ -169,14 +152,12 @@ func (o Options) engineOpts(ctx context.Context) congest.Options {
 		deadline = cd
 	}
 	return congest.Options{
-		Seed:           o.Seed,
-		Unbounded:      o.Unbounded,
-		MaxRounds:      o.MaxRounds,
-		DeliveryShards: o.DeliveryShards,
-		Interrupt:      ctx.Done(),
-		Deadline:       deadline,
-		CheckPayload:   o.CheckPayload,
-		Observer:       o.Observer,
+		Seed:      o.Seed,
+		Unbounded: o.Unbounded,
+		MaxRounds: o.MaxRounds,
+		Interrupt: ctx.Done(),
+		Deadline:  deadline,
+		Observer:  o.Observer,
 	}
 }
 
@@ -254,7 +235,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 	exactAll := true
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
-		res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, o.MaxLambda,
+		res, exact := packing.ExactDoubling(nd, bfs, o.MaxLambda,
 			packing.Options{SizeCap: o.SizeCap}, 1000)
 		side := packing.MarkSide(nd, bfs, res, 100)
 		value := packing.EvaluateCut(nd, bfs, side, 200)
@@ -419,10 +400,7 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 	var out sampling.BracketOutcome
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
-		res := sampling.Bracket(nd, bfs, sampling.BracketConfig{
-			Seed:   o.Seed,
-			Trials: o.BracketTrials,
-		}, 100)
+		res := sampling.Bracket(nd, bfs, sampling.BracketConfig{Seed: o.Seed}, 100)
 		if nd.ID() == 0 {
 			mu.Lock()
 			out = res
@@ -470,7 +448,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
 		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, o.ApproxTauMax, loads,
+		cur := packing.Pack(nd, bfs, approxTauMax, loads,
 			packing.Options{Weight: weightAt(level), StopBelow: kappa, SizeCap: o.SizeCap},
 			tagBase, nil)
 		if mark {
@@ -484,7 +462,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 	if mark {
 		nd.Mark("begin:level:0")
 	}
-	res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, kappa,
+	res, exact := packing.ExactDoubling(nd, bfs, kappa,
 		packing.Options{SizeCap: o.SizeCap}, 1000)
 	if mark {
 		nd.Mark("end:level:0")

@@ -9,13 +9,12 @@
 // engine that replays the paper's experiments on 48-node graphs drives
 // million-edge simulations at hardware speed.
 //
-//	go run ./examples/scale [-max-edges 1000000] [-shards N] [-seed 1]
+//	go run ./examples/scale [-max-edges 1000000] [-seed 1]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"time"
 
 	"distmincut/internal/congest"
@@ -36,7 +35,6 @@ func exchange(nd *congest.Node) {
 
 func main() {
 	maxEdges := flag.Int("max-edges", 1_000_000, "largest workload size, in edges")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "run message delivery on this many shards (0 = one per CPU, negative = serial)")
 	seed := flag.Int64("seed", 1, "seed for graph generation and the runtime")
 	flag.Parse()
 
@@ -44,9 +42,9 @@ func main() {
 	// (or grows) the previous step's slabs instead of re-allocating
 	// them, which is the congest.NewEngine lifecycle production callers
 	// use.
-	eng := congest.NewEngine(congest.Options{Seed: *seed, DeliveryShards: *shards})
+	eng := congest.NewEngine(congest.Options{Seed: *seed})
 	defer eng.Close()
-	fmt.Printf("engine sweep: shards=%d seed=%d\n\n", *shards, *seed)
+	fmt.Printf("engine sweep: seed=%d\n\n", *seed)
 	fmt.Printf("%-22s %10s %10s %8s %12s %10s %12s\n",
 		"workload", "n", "m", "rounds", "messages", "wall", "msgs/s")
 

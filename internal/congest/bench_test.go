@@ -125,10 +125,10 @@ func benchSetup() {
 }
 
 // The serial benchmarks pin DeliveryShards to -1 (explicit serial):
-// Options zero now resolves to one shard per CPU, and the regression
-// gate needs these workloads to measure the same configuration on
-// every runner and against every baseline. The sharded configuration
-// is measured by the *Shards variants.
+// Options zero picks the shard count by graph size and CPU count, and
+// the regression gate needs these workloads to measure the same
+// configuration on every runner and against every baseline. The
+// sharded configuration is measured by the *Shards variants.
 
 func BenchmarkEnginePathExchange(b *testing.B) {
 	benchSetup()

@@ -36,12 +36,13 @@ type Options struct {
 	// bit-identical to serial delivery for a given seed and shard
 	// count.
 	//
-	// Zero (the default) picks the measured default: one shard per
-	// available CPU (GOMAXPROCS), which degrades to serial delivery on
-	// a single-CPU machine — sharding only buys anything when shards
-	// run on distinct cores (see the "Delivery shard default" note in
-	// README.md). A negative value (or 1) forces serial delivery on
-	// the coordinator goroutine.
+	// Zero (the default) lets the engine pick per run by graph size:
+	// serial below shardMinNodes nodes, one shard per available CPU
+	// (GOMAXPROCS) at or above it (see the "Delivery shard default"
+	// note in README.md). A positive value pins that many shards; a
+	// negative value (or 1) pins serial delivery on the coordinator
+	// goroutine. The count is structural: it is fixed when the engine
+	// is created, and SetOptions keeps it.
 	DeliveryShards int
 	// Interrupt, when non-nil, makes the run abort with ErrInterrupted
 	// as soon as the channel is closed (or receives a value). The
@@ -58,14 +59,6 @@ type Options struct {
 	// with MaxRounds this is the engine-level watchdog behind service
 	// job deadlines.
 	Deadline time.Time
-	// CheckPayload, when set, makes Send fail loudly (a panic that
-	// surfaces as a PanicError from Run) whenever a staged message
-	// carries a payload word outside [-PayloadLimit, PayloadLimit].
-	// Messages are nominally O(log n) bits, but the words are int64 and
-	// several protocols pack multiple quantities into one word; a value
-	// near the int64 range almost always means a packing overflowed.
-	// Off by default (it adds a branch to the Send fast path).
-	CheckPayload bool
 	// Observer, when non-nil, receives one RoundRecord per simulated
 	// round at the round barrier (see Observer and RoundRecord). The
 	// record carries the round's delivered-message count, the next wake
@@ -78,9 +71,9 @@ type Options struct {
 	Observer Observer
 }
 
-// normalize fills Options defaults. DeliveryShards resolves its
-// measured default here, so an Engine's shard count is a pure function
-// of its (normalized) options.
+// normalize fills Options defaults. A negative DeliveryShards becomes
+// 1, so every pinned (nonzero) count stays nonzero; zero stays zero and
+// is resolved per run by setupRun.
 func normalize(opts Options) Options {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -88,14 +81,18 @@ func normalize(opts Options) Options {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	if opts.DeliveryShards == 0 {
-		opts.DeliveryShards = runtime.GOMAXPROCS(0)
-	}
-	if opts.DeliveryShards < 2 {
+	if opts.DeliveryShards < 0 {
 		opts.DeliveryShards = 1
 	}
 	return opts
 }
+
+// shardMinNodes is the graph size from which an engine with automatic
+// delivery sharding (DeliveryShards zero) delivers on GOMAXPROCS shards
+// instead of serially. Below it the per-round fan-out and receiver
+// merge cost more than the parallel delivery saves (measured on a dense
+// exchange: serial wins at 1024 nodes, sharding from 2048).
+const shardMinNodes = 2048
 
 // DefaultMaxRounds is the default safety cap on simulated rounds.
 const DefaultMaxRounds = 20_000_000
@@ -442,12 +439,15 @@ func NewEngine(opts Options) *Engine {
 	}
 }
 
-// SetOptions replaces the engine's options between runs. Structural
-// knobs (DeliveryShards) take effect at the next Run; per-run knobs
-// (Seed, Interrupt, Observer, ...) apply exactly as if the engine had
-// been created with them. Must not be called while a Run is in flight.
+// SetOptions replaces the engine's options between runs, except
+// DeliveryShards: the engine keeps the shard count it was created with.
+// Per-run knobs (Seed, Interrupt, Observer, ...) apply exactly as if the
+// engine had been created with them. Must not be called while a Run is
+// in flight.
 func (e *Engine) SetOptions(opts Options) {
+	shards := e.opts.DeliveryShards
 	e.opts = normalize(opts)
+	e.opts.DeliveryShards = shards
 }
 
 // Close releases the engine's retained slabs back to the process-wide
@@ -566,13 +566,18 @@ func (e *Engine) setupRun(g *graph.Graph) {
 	}
 	ports := len(e.revPort)
 
-	// Shard reconciliation: the resolved count is min(option, n) so
-	// tiny graphs never pay per-round task fan-out for idle shards.
-	// Generation arrays are retained with their shard structs.
+	// Shard reconciliation: an automatic count (zero) resolves by graph
+	// size, and the resolved count is min(count, n) so tiny graphs never
+	// pay per-round task fan-out for idle shards. Generation arrays are
+	// retained with their shard structs.
 	want := e.opts.DeliveryShards
-	if want > n {
-		want = n
+	if want == 0 {
+		want = 1
+		if n >= shardMinNodes {
+			want = runtime.GOMAXPROCS(0)
+		}
 	}
+	want = min(want, n)
 	if len(e.shards) != want {
 		e.shards = make([]*deliveryShard, want)
 		for s := range e.shards {

@@ -7,3 +7,7 @@ var (
 	ChatterProgram      = chatterProgram
 	DeterminismFamilies = determinismFamilies
 )
+
+// ShardMinNodes exports the automatic delivery-sharding threshold for
+// the sharding-rule test (shardrule_test.go).
+const ShardMinNodes = shardMinNodes

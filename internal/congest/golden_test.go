@@ -122,7 +122,11 @@ func goldenCases(t *testing.T) map[string]goldenCase {
 		}
 		for _, tier := range tiers {
 			cases[name+tier] = func(shards int) (fingerprint, error) {
-				return runTier(g, tier, &distmincut.Options{Seed: canon.Seed, Epsilon: canon.Epsilon, DeliveryShards: shards})
+				// The engine pins the delivery shard count for every
+				// phase of the entry point.
+				eng := congest.NewEngine(congest.Options{DeliveryShards: shards})
+				defer eng.Close()
+				return runTier(g, tier, &distmincut.Options{Seed: canon.Seed, Epsilon: canon.Epsilon, Engine: eng})
 			}
 		}
 	}

@@ -50,11 +50,12 @@
 // # Sharded delivery
 //
 // The delivery phase moves the head (or, in Unbounded mode, the whole
-// ring span, with bulk copies) of every staged edge queue. With
-// Options.DeliveryShards >= 2 the sender registry is partitioned by
-// node-ID range over that many worker goroutines, each delivering its
-// senders and stamping receivers into its own epoch-numbered array;
-// the coordinator then merges per-shard delivered counts and receiver
+// ring span, with bulk copies) of every staged edge queue. With two or
+// more delivery shards (a pinned Options.DeliveryShards, or GOMAXPROCS
+// on graphs of at least 2048 nodes when it is zero) the sender
+// registry is partitioned by node-ID range over that many worker
+// goroutines, each delivering its senders and stamping receivers into
+// its own epoch-numbered array; the coordinator then merges per-shard delivered counts and receiver
 // sets in shard order and fans the receive-predicate evaluation back
 // out over the same workers. Sharding is safe because delivery is
 // order-independent: each (sender, port) pair feeds exactly one
@@ -105,8 +106,8 @@ type Message struct {
 // for bit accounting in Stats.
 const PayloadWords = 4
 
-// PayloadLimit bounds the magnitude of each payload word when
-// Options.CheckPayload is set. The repository's packing convention is
+// PayloadLimit bounds the magnitude of each payload word; Send checks
+// every word it stages against it. The repository's packing convention is
 // at most two 31-bit fields per word (IDs < n ≤ 2^31, weights and loads
 // < 2^31 per distmincut.MaxWeight), optionally with one flag carried in
 // the sign — so every legitimate word has magnitude at most 2^62. A

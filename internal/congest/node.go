@@ -122,9 +122,7 @@ func (nd *Node) Send(p int, m Message) {
 	if p < 0 || p >= len(nd.adj) {
 		panic(fmt.Sprintf("congest: node %d Send on invalid port %d (degree %d)", nd.id, p, len(nd.adj)))
 	}
-	if nd.eng.opts.CheckPayload {
-		nd.checkPayload(p, m)
-	}
+	nd.checkPayload(p, m)
 	if !nd.outDirty {
 		nd.outDirty = true
 		nd.eng.addSender(nd)
@@ -142,11 +140,11 @@ func (nd *Node) Send(p int, m Message) {
 	nd.sent++
 }
 
-// checkPayload enforces Options.CheckPayload: every payload word must
-// lie within [-PayloadLimit, PayloadLimit] or be one of the two exact
-// extreme sentinels (math.MaxInt64 / math.MinInt64, which protocols use
-// as "∞ / none" markers). Out of line so the Send fast path stays
-// small.
+// checkPayload is the payload-overflow guard every Send runs: a payload
+// word outside [-PayloadLimit, PayloadLimit] panics, which surfaces as
+// a PanicError from Run, unless it is one of the two exact extreme
+// sentinels (math.MaxInt64 / math.MinInt64, which protocols use as
+// "∞ / none" markers). Out of line so the Send fast path stays small.
 func (nd *Node) checkPayload(p int, m Message) {
 	const maxInt64 = int64(^uint64(0) >> 1)
 	for i, w := range [PayloadWords]int64{m.A, m.B, m.C, m.D} {

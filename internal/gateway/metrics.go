@@ -3,59 +3,12 @@ package gateway
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"distmincut/internal/service"
 )
-
-// upstreamBounds are the bucket upper bounds (seconds) of the
-// per-replica upstream latency histogram: sub-millisecond local
-// round-trips up through the attempt-timeout neighborhood; +Inf is
-// implicit.
-var upstreamBounds = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-	1, 2.5, 5, 10, 30, 60,
-}
-
-// gwHistogram mirrors the service's lock-free fixed-bound histogram:
-// every forwarded attempt costs one atomic bucket increment plus two
-// atomic adds, so metrics never contend on the proxy path.
-type gwHistogram struct {
-	counts []atomic.Int64 // len(upstreamBounds)+1; last is +Inf
-	sumNs  atomic.Int64
-	count  atomic.Int64
-}
-
-func newGwHistogram() *gwHistogram {
-	return &gwHistogram{counts: make([]atomic.Int64, len(upstreamBounds)+1)}
-}
-
-func (h *gwHistogram) observe(d time.Duration) {
-	sec := d.Seconds()
-	i := 0
-	for i < len(upstreamBounds) && sec > upstreamBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNs.Add(d.Nanoseconds())
-	h.count.Add(1)
-}
-
-func (h *gwHistogram) snapshot() service.HistogramSnapshot {
-	s := service.HistogramSnapshot{
-		Bounds:     upstreamBounds,
-		Counts:     make([]int64, len(h.counts)),
-		SumSeconds: float64(h.sumNs.Load()) / 1e9,
-		Count:      h.count.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
 
 // metrics is the gateway's live counter set. Gateway-wide counters are
 // plain atomics; per-replica counters live in a map fixed at
@@ -78,13 +31,13 @@ type replicaMetrics struct {
 	ejections      atomic.Int64
 	reinstatements atomic.Int64
 	replays        atomic.Int64
-	latency        *gwHistogram
+	latency        *service.Histogram
 }
 
 func newMetrics(names []string) *metrics {
 	m := &metrics{start: time.Now(), reps: make(map[string]*replicaMetrics, len(names))}
 	for _, n := range names {
-		m.reps[n] = &replicaMetrics{latency: newGwHistogram()}
+		m.reps[n] = &replicaMetrics{latency: service.NewHistogram()}
 	}
 	return m
 }
@@ -96,7 +49,7 @@ func (m *metrics) rep(name string) *replicaMetrics {
 	if rm, ok := m.reps[name]; ok {
 		return rm
 	}
-	return &replicaMetrics{latency: newGwHistogram()}
+	return &replicaMetrics{latency: service.NewHistogram()}
 }
 
 // Metrics is the gateway's point-in-time metrics snapshot, served as
@@ -198,19 +151,10 @@ func (g *Gateway) Metrics() Metrics {
 			Ejections:       rm.ejections.Load(),
 			Reinstatements:  rm.reinstatements.Load(),
 			Replays:         rm.replays.Load(),
-			UpstreamLatency: rm.latency.snapshot(),
+			UpstreamLatency: rm.latency.Snapshot(),
 		})
 	}
 	return m
-}
-
-func gwF64(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func gwI64(v int64) string   { return strconv.FormatInt(v, 10) }
-
-// gwEscape escapes a label value per the exposition format.
-func gwEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
 }
 
 // WritePrometheus renders a gateway Metrics snapshot in the Prometheus
@@ -223,15 +167,15 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 	scalar := func(name, typ, help, val string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, val)
 	}
-	scalar("mincutgw_uptime_seconds", "gauge", "Seconds since the gateway started.", gwF64(m.UptimeSec))
-	scalar("mincutgw_replicas", "gauge", "Configured replica count (the ring size).", gwI64(int64(m.Replicas)))
-	scalar("mincutgw_healthy_replicas", "gauge", "Replicas currently accepting new routes.", gwI64(int64(m.HealthyReplicas)))
-	scalar("mincutgw_tracked_jobs", "gauge", "In-flight jobs the gateway can replay off a lost replica.", gwI64(int64(m.TrackedJobs)))
-	scalar("mincutgw_jobs_routed_total", "counter", "Submissions accepted by some replica.", gwI64(m.JobsRouted))
-	scalar("mincutgw_jobs_failed_total", "counter", "Submissions that failed at every candidate replica (HTTP 502).", gwI64(m.JobsFailed))
-	scalar("mincutgw_jobs_shed_total", "counter", "Submissions turned away with no replica accepting work (HTTP 503).", gwI64(m.JobsShed))
-	scalar("mincutgw_hedges_total", "counter", "Hedge requests launched for slow result fetches.", gwI64(m.Hedges))
-	scalar("mincutgw_hedge_wins_total", "counter", "Hedge requests that returned first.", gwI64(m.HedgeWins))
+	scalar("mincutgw_uptime_seconds", "gauge", "Seconds since the gateway started.", service.PromFloat(m.UptimeSec))
+	scalar("mincutgw_replicas", "gauge", "Configured replica count (the ring size).", service.PromInt(int64(m.Replicas)))
+	scalar("mincutgw_healthy_replicas", "gauge", "Replicas currently accepting new routes.", service.PromInt(int64(m.HealthyReplicas)))
+	scalar("mincutgw_tracked_jobs", "gauge", "In-flight jobs the gateway can replay off a lost replica.", service.PromInt(int64(m.TrackedJobs)))
+	scalar("mincutgw_jobs_routed_total", "counter", "Submissions accepted by some replica.", service.PromInt(m.JobsRouted))
+	scalar("mincutgw_jobs_failed_total", "counter", "Submissions that failed at every candidate replica (HTTP 502).", service.PromInt(m.JobsFailed))
+	scalar("mincutgw_jobs_shed_total", "counter", "Submissions turned away with no replica accepting work (HTTP 503).", service.PromInt(m.JobsShed))
+	scalar("mincutgw_hedges_total", "counter", "Hedge requests launched for slow result fetches.", service.PromInt(m.Hedges))
+	scalar("mincutgw_hedge_wins_total", "counter", "Hedge requests that returned first.", service.PromInt(m.HedgeWins))
 
 	perRep := []struct {
 		name, typ, help string
@@ -245,44 +189,35 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 				return "0"
 			}},
 		{"mincutgw_requests_total", "counter", "Upstream attempts forwarded to the replica.",
-			func(r ReplicaMetrics) string { return gwI64(r.Requests) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Requests) }},
 		{"mincutgw_failures_total", "counter", "Upstream attempts that ended in a transport error or 5xx.",
-			func(r ReplicaMetrics) string { return gwI64(r.Failures) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Failures) }},
 		{"mincutgw_retries_total", "counter", "Submit attempts re-routed to the replica after another failed.",
-			func(r ReplicaMetrics) string { return gwI64(r.Retries) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Retries) }},
 		{"mincutgw_ejections_total", "counter", "Health-prober ejections of the replica.",
-			func(r ReplicaMetrics) string { return gwI64(r.Ejections) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Ejections) }},
 		{"mincutgw_reinstatements_total", "counter", "Recoveries of the replica out of the ejected state.",
-			func(r ReplicaMetrics) string { return gwI64(r.Reinstatements) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Reinstatements) }},
 		{"mincutgw_replays_total", "counter", "Tracked jobs replayed off the replica while draining or down.",
-			func(r ReplicaMetrics) string { return gwI64(r.Replays) }},
+			func(r ReplicaMetrics) string { return service.PromInt(r.Replays) }},
 	}
 	for _, fam := range perRep {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
 		for _, r := range m.PerReplica {
-			fmt.Fprintf(&b, "%s{replica=%q} %s\n", fam.name, gwEscape(r.Name), fam.val(r))
+			fmt.Fprintf(&b, "%s{replica=%s} %s\n", fam.name, service.PromLabel(r.Name), fam.val(r))
 		}
 	}
 
 	const hist = "mincutgw_upstream_latency_seconds"
 	fmt.Fprintf(&b, "# HELP %s Latency of forwarded upstream attempts, per replica.\n# TYPE %s histogram\n", hist, hist)
 	for _, r := range m.PerReplica {
-		h := r.UpstreamLatency
-		cum := int64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(&b, "%s_bucket{replica=%q,le=%q} %s\n", hist, gwEscape(r.Name), gwF64(bound), gwI64(cum))
-		}
-		cum += h.Counts[len(h.Bounds)]
-		fmt.Fprintf(&b, "%s_bucket{replica=%q,le=\"+Inf\"} %s\n", hist, gwEscape(r.Name), gwI64(cum))
-		fmt.Fprintf(&b, "%s_sum{replica=%q} %s\n", hist, gwEscape(r.Name), gwF64(h.SumSeconds))
-		fmt.Fprintf(&b, "%s_count{replica=%q} %s\n", hist, gwEscape(r.Name), gwI64(h.Count))
+		service.WriteHistogramSeries(&b, hist, "replica", r.Name, r.UpstreamLatency)
 	}
 
 	const bi = "mincutgw_build_info"
 	fmt.Fprintf(&b, "# HELP %s Build identity of the running gateway (constant 1).\n# TYPE %s gauge\n", bi, bi)
-	fmt.Fprintf(&b, "%s{version=%q,commit=%q,goversion=%q} 1\n",
-		bi, gwEscape(m.Build.Version), gwEscape(m.Build.Commit), gwEscape(m.Build.GoVersion))
+	fmt.Fprintf(&b, "%s{version=%s,commit=%s,goversion=%s} 1\n",
+		bi, service.PromLabel(m.Build.Version), service.PromLabel(m.Build.Commit), service.PromLabel(m.Build.GoVersion))
 
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -151,7 +151,7 @@ func E3Exact(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed()})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("λ=%d: %v", lam, err))
 			continue
@@ -190,7 +190,7 @@ func E4Approx(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		res, err := distmincut.ApproxMinCut(g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps, DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.ApproxMinCut(g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("ε=%.3f: %v", eps, err))
 			continue
@@ -232,7 +232,7 @@ func E5Baselines(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		ours, err := distmincut.ApproxMinCut(w.g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps, DeliveryShards: cfg.DeliveryShards})
+		ours, err := distmincut.ApproxMinCut(w.g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s ours: %v", w.name, err))
 			continue
@@ -257,7 +257,7 @@ func E5Baselines(cfg Config) *Table {
 func runSu(g *graph.Graph, eps float64, seed int64, cfg Config) (int64, int) {
 	var mu sync.Mutex
 	var value int64
-	stats, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		r := baseline.Su(nd, bfs, g, eps, seed+5, 8, 1000)
 		mu.Lock()
@@ -427,7 +427,7 @@ func E9Ablation(cfg Config) *Table {
 		if c < 1 {
 			continue
 		}
-		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), SizeCap: c, DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), SizeCap: c})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("cap %d: %v", c, err))
 			continue
@@ -437,7 +437,7 @@ func E9Ablation(cfg Config) *Table {
 			fmt.Sprintf("%v", res.Value == lambda),
 		})
 	}
-	res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), Unbounded: true, DeliveryShards: cfg.DeliveryShards})
+	res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), Unbounded: true})
 	if err == nil {
 		t.Rows = append(t.Rows, []string{
 			"unbounded bandwidth (LOCAL)", itoa(int64(res.Rounds)), itoa(res.Messages),

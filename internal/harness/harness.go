@@ -54,23 +54,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every randomized workload and protocol.
 	Seed int64
-	// DeliveryShards partitions the runtime's delivery phase over this
-	// many worker goroutines (congest.Options.DeliveryShards). Zero
-	// resolves to serial delivery here — RunAll already executes
-	// experiments concurrently on a GOMAXPROCS-bounded pool, so
-	// per-run sharding on top would oversubscribe the machine.
-	// Results are identical either way.
-	DeliveryShards int
-}
-
-// engineOpts assembles the congest options for one run with the given
-// seed.
-func (c Config) engineOpts(seed int64) congest.Options {
-	shards := c.DeliveryShards
-	if shards == 0 {
-		shards = -1 // serial per run: RunAll is the parallelism
-	}
-	return congest.Options{Seed: seed, DeliveryShards: shards}
 }
 
 func (c Config) seed() int64 {
@@ -151,7 +134,7 @@ func pipelineOnce(g *graph.Graph, seed int64, cfg Config) (*congest.Stats, int64
 	var mu sync.Mutex
 	parents := make([]graph.NodeID, g.N())
 	var best int64
-	stats, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		res := mst.Run(nd, bfs, nil, 0, 100)
 		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)
@@ -174,7 +157,7 @@ func pipelineOnce(g *graph.Graph, seed int64, cfg Config) (*congest.Stats, int64
 // node's C(v↓) to fn (called under a lock).
 func runPipelineCollect(g *graph.Graph, seed int64, cfg Config, fn func(v graph.NodeID, cut int64)) error {
 	var mu sync.Mutex
-	_, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	_, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		res := mst.Run(nd, bfs, nil, 0, 100)
 		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)

@@ -46,10 +46,10 @@ func TheoreticalTau(lambda int64, n int) int {
 	return int(math.Ceil(t))
 }
 
-// PracticalTau is the default policy: c·λ·ln n + 3 trees. Experiment E7
-// measures the actual number of trees needed until some tree
-// 1-respects a minimum cut; this bound exceeds it with a wide margin on
-// every workload family in the suite.
+// PracticalTau is the packing size ExactDoubling uses: c·λ·ln n + 3
+// trees. Experiment E7 measures the actual number of trees needed until
+// some tree 1-respects a minimum cut; this bound exceeds it with a wide
+// margin on every workload family in the suite.
 //
 // λ = 1 is special-cased to a single tree: with integer weights ≥ 1 a
 // cut of weight 1 is a single bridge, every spanning tree contains
@@ -154,20 +154,17 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, op
 //
 // Each guess packs with StopBelow = λ̂ so the expensive per-tree work
 // halts the moment a candidate ≤ λ̂ appears; certification then tops the
-// packing up one tree at a time until it holds tauOf(bestCut, n) trees.
-// This is sound: bestCut ≥ λ, tauOf is monotone, so tauOf(bestCut) ≥
-// tauOf(λ) trees guarantee some packed tree 1-respects a minimum cut
-// and the minimum over packed trees is exactly λ. It is also what makes
-// the λ̂ = 1 guess O(1) trees on million-edge instances instead of a
-// full Θ(λ̂ ln n) schedule.
+// packing up one tree at a time until it holds PracticalTau(bestCut, n)
+// trees. This is sound: bestCut ≥ λ and PracticalTau is monotone, so
+// PracticalTau(bestCut) ≥ PracticalTau(λ) trees guarantee some packed
+// tree 1-respects a minimum cut and the minimum over packed trees is
+// exactly λ. It is also what makes the λ̂ = 1 guess O(1) trees on
+// million-edge instances instead of a full Θ(λ̂ ln n) schedule.
 //
 // maxLambda bounds the search (poly(λ) trees are only tractable for
 // small λ; larger cuts are handled by the sampling reduction). Returns
 // the result and whether it is certified exact.
-func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64, n int) int, maxLambda int64, opts Options, tagBase uint32) (*Result, bool) {
-	if tauOf == nil {
-		tauOf = PracticalTau
-	}
+func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, tagBase uint32) (*Result, bool) {
 	if maxLambda < 1 {
 		maxLambda = 1 << 20
 	}
@@ -176,7 +173,7 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 	tag := tagBase
 	mark := nd.ID() == 0 // node 0 records the guess/certify spans for observability
 	for lambda := int64(1); ; lambda *= 2 {
-		target := tauOf(lambda, nd.N())
+		target := PracticalTau(lambda, nd.N())
 		if extra := target - res.Trees; extra > 0 {
 			guess := opts
 			if guess.StopBelow <= 0 || lambda < guess.StopBelow {
@@ -194,11 +191,11 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 				return res, false
 			}
 		}
-		// Top up after an early stop: certification needs tauOf(bestCut)
-		// trees. One tree per step — the best cut can keep dropping while
+		// Top up after an early stop: certification needs
+		// PracticalTau(bestCut) trees. One tree per step — the best cut can keep dropping while
 		// topping up, which shrinks the requirement.
 		certifying := false
-		for res.Cut <= lambda && res.Trees < tauOf(res.Cut, nd.N()) {
+		for res.Cut <= lambda && res.Trees < PracticalTau(res.Cut, nd.N()) {
 			if mark && !certifying {
 				nd.Mark("begin:certify")
 			}

@@ -23,7 +23,7 @@ func runExact(t *testing.T, g *graph.Graph, seed int64) (*packing.Result, []bool
 	var evaluated int64
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
-		res, exact := packing.ExactDoubling(nd, bfs, nil, 0, packing.Options{}, 1000)
+		res, exact := packing.ExactDoubling(nd, bfs, 0, packing.Options{}, 1000)
 		if !exact {
 			panic("packing: expected certified-exact result")
 		}

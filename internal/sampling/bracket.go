@@ -25,15 +25,17 @@ func TrialSeed(seed int64, trial int) int64 {
 	return int64(h >> 1)
 }
 
+// BracketTrials is the number of independent skeletons the bracket
+// program tests per level. More trials sharpen the lower bound — a
+// level only counts as "connected" if every trial's skeleton is
+// connected.
+const BracketTrials = 3
+
 // BracketConfig tunes the bracket program. The zero value is ready to
 // use.
 type BracketConfig struct {
 	// Seed drives the shared sampling coins (zero means 1).
 	Seed int64
-	// Trials is the number of independent skeletons tested per level
-	// (default 3). More trials sharpen the lower bound — a level only
-	// counts as "connected" if every trial's skeleton is connected.
-	Trials int
 	// ChunkRounds is how many flood rounds run between global
 	// termination checks (default 8). Larger chunks trade convergecast
 	// barriers for idle rounds on skeletons of small diameter.
@@ -81,14 +83,11 @@ type BracketOutcome struct {
 //
 // All branch decisions are functions of globally agreed values
 // (convergecast totals), so every node follows the same schedule in
-// lockstep. The tag range [tagBase, tagBase+4+4·Trials·MaxLevel) is
-// consumed.
+// lockstep. The tag range [tagBase, tagBase+4+4·BracketTrials·MaxLevel)
+// is consumed.
 func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase uint32) BracketOutcome {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 3
 	}
 	if cfg.ChunkRounds <= 0 {
 		cfg.ChunkRounds = 8
@@ -127,18 +126,18 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase ui
 		maxLevel = 60
 	}
 
-	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode, Trials: cfg.Trials}
+	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode, Trials: BracketTrials}
 	keep := make([]bool, nd.Degree())
 	for level := 1; level <= maxLevel; level++ {
 		if mark {
 			nd.Mark("begin:bracket:" + strconv.Itoa(level))
 		}
-		for trial := 0; trial < cfg.Trials; trial++ {
+		for trial := 0; trial < BracketTrials; trial++ {
 			seed := TrialSeed(cfg.Seed, trial)
 			for p := range keep {
 				keep[p] = SampleWeight(seed, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
 			}
-			tag := tagBase + 4 + 4*uint32((level-1)*cfg.Trials+trial)
+			tag := tagBase + 4 + 4*uint32((level-1)*BracketTrials+trial)
 			if !sampledConnected(nd, bfs, keep, cfg.ChunkRounds, tag) {
 				out.Level = level
 				break

@@ -5,29 +5,33 @@ import (
 	"time"
 )
 
-// durationBounds are the upper bucket bounds (seconds) of the per-tier
-// job latency histograms. They span sub-millisecond cache hits to the
-// 60-second neighborhood of the service's deadline ceilings; +Inf is
-// implicit.
+// durationBounds are the upper bucket bounds (seconds) of every
+// latency Histogram: the service's per-tier job latencies and the
+// gateway's per-replica upstream latencies. They span sub-millisecond
+// cache hits and local round-trips to the 60-second neighborhood of the
+// deadline ceilings and attempt timeouts; +Inf is implicit.
 var durationBounds = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60,
 }
 
-// histogram is a fixed-bound latency histogram with lock-free observe:
+// Histogram is a fixed-bound latency histogram with lock-free Observe:
 // one atomic bucket increment plus two atomic adds per observation, so
-// the job-finalization path never contends on metrics.
-type histogram struct {
+// neither the job-finalization path nor the gateway's proxy path ever
+// contends on metrics.
+type Histogram struct {
 	counts []atomic.Int64 // len(durationBounds)+1; last is +Inf
 	sumNs  atomic.Int64
 	count  atomic.Int64
 }
 
-func newHistogram() *histogram {
-	return &histogram{counts: make([]atomic.Int64, len(durationBounds)+1)}
+// NewHistogram returns an empty Histogram.
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Int64, len(durationBounds)+1)}
 }
 
-func (h *histogram) observe(d time.Duration) {
+// Observe records one duration.
+func (h *Histogram) Observe(d time.Duration) {
 	sec := d.Seconds()
 	i := 0
 	for i < len(durationBounds) && sec > durationBounds[i] {
@@ -55,7 +59,8 @@ type HistogramSnapshot struct {
 	Count int64 `json:"count"`
 }
 
-func (h *histogram) snapshot() HistogramSnapshot {
+// Snapshot returns a point-in-time copy of the histogram.
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds:     durationBounds,
 		Counts:     make([]int64, len(h.counts)),

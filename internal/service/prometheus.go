@@ -16,8 +16,21 @@ type promMetric struct {
 	value string
 }
 
-func f64(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func i64(v int64) string   { return strconv.FormatInt(v, 10) }
+// PromFloat renders a sample value or bucket bound in the Prometheus
+// text exposition format.
+func PromFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// PromInt renders an integer sample value in the Prometheus text
+// exposition format.
+func PromInt(v int64) string { return strconv.FormatInt(v, 10) }
+
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// PromLabel renders a label value quoted and escaped per the
+// exposition format: backslash, double quote and newline are escaped,
+// every other byte is written as is.
+func PromLabel(v string) string { return `"` + labelEscaper.Replace(v) + `"` }
 
 // WritePrometheus renders a Metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4). Counters keep the conventional
@@ -27,30 +40,30 @@ func i64(v int64) string   { return strconv.FormatInt(v, 10) }
 // and the three admission decision counters.
 func WritePrometheus(w io.Writer, m Metrics) error {
 	ms := []promMetric{
-		{"mincutd_uptime_seconds", "gauge", "Seconds since the service started.", f64(m.UptimeSec)},
-		{"mincutd_pool_size", "gauge", "Worker pool size.", i64(int64(m.PoolSize))},
-		{"mincutd_queue_depth", "gauge", "Jobs accepted but not yet running.", i64(int64(m.QueueDepth))},
-		{"mincutd_queue_capacity", "gauge", "Queue capacity (submissions beyond it are shed).", i64(int64(m.QueueCapacity))},
-		{"mincutd_jobs_running", "gauge", "Executions currently running a protocol.", i64(int64(m.Running))},
-		{"mincutd_jobs_refining", "gauge", "Tiered executions refining past a published approx answer.", i64(int64(m.Refining))},
-		{"mincutd_jobs_submitted_total", "counter", "Accepted submissions (bad specs and shed requests excluded).", i64(m.Submitted)},
-		{"mincutd_jobs_completed_total", "counter", "Executions finished with a result.", i64(m.Completed)},
-		{"mincutd_jobs_failed_total", "counter", "Executions finished with an error.", i64(m.Failed)},
-		{"mincutd_jobs_canceled_total", "counter", "Job records canceled by request or drain.", i64(m.Canceled)},
-		{"mincutd_jobs_deadline_total", "counter", "Job records killed by wall-clock deadline or round budget.", i64(m.Deadlined)},
-		{"mincutd_jobs_degraded_total", "counter", "Submissions served below their requested tier by queue pressure.", i64(m.Degraded)},
-		{"mincutd_jobs_shed_total", "counter", "Submissions turned away on a full queue (HTTP 503).", i64(m.Shed)},
-		{"mincutd_jobs_coalesced_total", "counter", "Submissions coalesced onto an in-flight execution.", i64(m.Coalesced)},
-		{"mincutd_admission_checks_total", "counter", "Bracket pre-passes run (or cache-served) for admission control.", i64(m.AdmissionChecks)},
-		{"mincutd_admission_rejected_total", "counter", "Submissions rejected over the admission ceiling (HTTP 429).", i64(m.AdmissionRejected)},
-		{"mincutd_admission_downtiered_total", "counter", "Over-ceiling submissions served at the approx tier instead.", i64(m.AdmissionDowntiered)},
-		{"mincutd_cache_hits_total", "counter", "Result-cache hits.", i64(m.CacheHits)},
-		{"mincutd_cache_misses_total", "counter", "Result-cache misses.", i64(m.CacheMisses)},
-		{"mincutd_cache_hit_ratio", "gauge", "Cache hits over lookups since start.", f64(m.CacheHitRate)},
-		{"mincutd_cache_entries", "gauge", "Entries resident in the result cache.", i64(int64(m.CacheEntries))},
-		{"mincutd_rounds_total", "counter", "CONGEST rounds simulated by completed executions.", i64(m.RoundsTotal)},
-		{"mincutd_rounds_per_second", "gauge", "Completed rounds over cumulative pool busy time.", f64(m.RoundsPerSec)},
-		{"mincutd_live_rounds", "gauge", "Current round gauges of running executions, summed.", i64(m.LiveRounds)},
+		{"mincutd_uptime_seconds", "gauge", "Seconds since the service started.", PromFloat(m.UptimeSec)},
+		{"mincutd_pool_size", "gauge", "Worker pool size.", PromInt(int64(m.PoolSize))},
+		{"mincutd_queue_depth", "gauge", "Jobs accepted but not yet running.", PromInt(int64(m.QueueDepth))},
+		{"mincutd_queue_capacity", "gauge", "Queue capacity (submissions beyond it are shed).", PromInt(int64(m.QueueCapacity))},
+		{"mincutd_jobs_running", "gauge", "Executions currently running a protocol.", PromInt(int64(m.Running))},
+		{"mincutd_jobs_refining", "gauge", "Tiered executions refining past a published approx answer.", PromInt(int64(m.Refining))},
+		{"mincutd_jobs_submitted_total", "counter", "Accepted submissions (bad specs and shed requests excluded).", PromInt(m.Submitted)},
+		{"mincutd_jobs_completed_total", "counter", "Executions finished with a result.", PromInt(m.Completed)},
+		{"mincutd_jobs_failed_total", "counter", "Executions finished with an error.", PromInt(m.Failed)},
+		{"mincutd_jobs_canceled_total", "counter", "Job records canceled by request or drain.", PromInt(m.Canceled)},
+		{"mincutd_jobs_deadline_total", "counter", "Job records killed by wall-clock deadline or round budget.", PromInt(m.Deadlined)},
+		{"mincutd_jobs_degraded_total", "counter", "Submissions served below their requested tier by queue pressure.", PromInt(m.Degraded)},
+		{"mincutd_jobs_shed_total", "counter", "Submissions turned away on a full queue (HTTP 503).", PromInt(m.Shed)},
+		{"mincutd_jobs_coalesced_total", "counter", "Submissions coalesced onto an in-flight execution.", PromInt(m.Coalesced)},
+		{"mincutd_admission_checks_total", "counter", "Bracket pre-passes run (or cache-served) for admission control.", PromInt(m.AdmissionChecks)},
+		{"mincutd_admission_rejected_total", "counter", "Submissions rejected over the admission ceiling (HTTP 429).", PromInt(m.AdmissionRejected)},
+		{"mincutd_admission_downtiered_total", "counter", "Over-ceiling submissions served at the approx tier instead.", PromInt(m.AdmissionDowntiered)},
+		{"mincutd_cache_hits_total", "counter", "Result-cache hits.", PromInt(m.CacheHits)},
+		{"mincutd_cache_misses_total", "counter", "Result-cache misses.", PromInt(m.CacheMisses)},
+		{"mincutd_cache_hit_ratio", "gauge", "Cache hits over lookups since start.", PromFloat(m.CacheHitRate)},
+		{"mincutd_cache_entries", "gauge", "Entries resident in the result cache.", PromInt(int64(m.CacheEntries))},
+		{"mincutd_rounds_total", "counter", "CONGEST rounds simulated by completed executions.", PromInt(m.RoundsTotal)},
+		{"mincutd_rounds_per_second", "gauge", "Completed rounds over cumulative pool busy time.", PromFloat(m.RoundsPerSec)},
+		{"mincutd_live_rounds", "gauge", "Current round gauges of running executions, summed.", PromInt(m.LiveRounds)},
 	}
 	var b strings.Builder
 	for _, pm := range ms {
@@ -66,19 +79,13 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 	return err
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // writeBuildInfo renders the conventional build-identity gauge: a
 // constant 1 whose labels carry the version, commit, and toolchain.
 func writeBuildInfo(b *strings.Builder, bi BuildInfo) {
 	const name = "mincutd_build_info"
 	fmt.Fprintf(b, "# HELP %s Build identity of the running binary (constant 1).\n# TYPE %s gauge\n", name, name)
-	fmt.Fprintf(b, "%s{version=%q,commit=%q,goversion=%q} 1\n",
-		name, escapeLabel(bi.Version), escapeLabel(bi.Commit), escapeLabel(bi.GoVersion))
+	fmt.Fprintf(b, "%s{version=%s,commit=%s,goversion=%s} 1\n",
+		name, PromLabel(bi.Version), PromLabel(bi.Commit), PromLabel(bi.GoVersion))
 }
 
 // writePhaseCounters renders one phase-labeled counter family in
@@ -95,7 +102,7 @@ func writePhaseCounters(b *strings.Builder, name, help string, vals map[string]i
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(b, "%s{phase=%q} %s\n", name, escapeLabel(k), i64(vals[k]))
+		fmt.Fprintf(b, "%s{phase=%s} %s\n", name, PromLabel(k), PromInt(vals[k]))
 	}
 }
 
@@ -114,15 +121,23 @@ func writeHistograms(b *strings.Builder, tiers map[string]HistogramSnapshot) {
 	}
 	sort.Strings(keys)
 	for _, tier := range keys {
-		h := tiers[tier]
-		cum := int64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(b, "%s_bucket{tier=%q,le=%q} %s\n", name, escapeLabel(tier), f64(bound), i64(cum))
-		}
-		cum += h.Counts[len(h.Bounds)]
-		fmt.Fprintf(b, "%s_bucket{tier=%q,le=\"+Inf\"} %s\n", name, escapeLabel(tier), i64(cum))
-		fmt.Fprintf(b, "%s_sum{tier=%q} %s\n", name, escapeLabel(tier), f64(h.SumSeconds))
-		fmt.Fprintf(b, "%s_count{tier=%q} %s\n", name, escapeLabel(tier), i64(h.Count))
+		WriteHistogramSeries(b, name, "tier", tier, tiers[tier])
 	}
+}
+
+// WriteHistogramSeries renders one labeled series of a histogram
+// family (whose HELP and TYPE lines the caller has written): the
+// cumulative le-labeled buckets with the mandatory +Inf, then _sum and
+// _count, each carrying the label key=value.
+func WriteHistogramSeries(b *strings.Builder, name, key, value string, h HistogramSnapshot) {
+	label := key + "=" + PromLabel(value)
+	cum := int64(0)
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
+		fmt.Fprintf(b, "%s_bucket{%s,le=%s} %s\n", name, label, PromLabel(PromFloat(bound)), PromInt(cum))
+	}
+	cum += h.Counts[len(h.Bounds)]
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %s\n", name, label, PromInt(cum))
+	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, label, PromFloat(h.SumSeconds))
+	fmt.Fprintf(b, "%s_count{%s} %s\n", name, label, PromInt(h.Count))
 }

@@ -146,17 +146,6 @@ type Options struct {
 	JobRetention int
 	// Limits bounds accepted specs (zero fields take DefaultLimits).
 	Limits Limits
-	// DeliveryShards is passed to every run (distmincut.Options); it
-	// never affects results, only speed. Zero resolves to serial
-	// delivery here — the worker pool already runs PoolSize jobs in
-	// parallel, and letting every job also fan delivery out
-	// one-shard-per-CPU (the runtime's single-run default) would
-	// oversubscribe the machine PoolSize-fold. Set it explicitly to opt
-	// a mostly-idle pool into sharded delivery.
-	DeliveryShards int
-	// CheckPayload enables the runtime's payload-overflow guard on
-	// every run.
-	CheckPayload bool
 	// DefaultDeadline bounds every job whose request carries no
 	// deadline_ms of its own. Zero means no default: only explicit
 	// per-job deadlines apply.
@@ -205,9 +194,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobRetention <= 0 {
 		o.JobRetention = 4096
-	}
-	if o.DeliveryShards == 0 {
-		o.DeliveryShards = -1 // serial per job: the pool is the parallelism
 	}
 	o.Limits = o.Limits.withDefaults()
 	return o
@@ -453,7 +439,7 @@ type Service struct {
 	queue chan *exec
 	start time.Time
 	log   *slog.Logger
-	durs  map[string]*histogram // per-tier job latency, keyed by tier
+	durs  map[string]*Histogram // per-tier job latency, keyed by tier
 
 	mu            sync.Mutex
 	jobs          map[string]*job
@@ -498,7 +484,7 @@ func New(opts Options) *Service {
 		queue:         make(chan *exec, o.QueueDepth),
 		start:         time.Now(),
 		log:           logger,
-		durs:          make(map[string]*histogram, 5),
+		durs:          make(map[string]*Histogram, 5),
 		jobs:          make(map[string]*job),
 		inflight:      make(map[string]*exec),
 		phaseRounds:   make(map[string]int64),
@@ -507,7 +493,7 @@ func New(opts Options) *Service {
 		cancelAll:     cancel,
 	}
 	for _, tier := range []string{TierBracket, TierApprox, TierExact, TierRespect, TierTiered} {
-		s.durs[tier] = newHistogram()
+		s.durs[tier] = NewHistogram()
 	}
 	s.log.Info("service started", "pool_size", o.PoolSize, "queue_depth", o.QueueDepth,
 		"version", ReadBuild().Version, "commit", ReadBuild().Commit)
@@ -717,7 +703,7 @@ func (s *Service) serveLocked(canon JobRequest, key string, budget time.Duration
 			name: "done", cat: "lifecycle", at: j.finished,
 			args: map[string]any{"cache_hit": true},
 		})
-		s.durs[canon.Tier].observe(0) // a cache hit is a zero-latency done
+		s.durs[canon.Tier].Observe(0) // a cache hit is a zero-latency done
 		s.retireLocked(j)
 		return s.viewLocked(j), true
 	}
@@ -767,11 +753,7 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 		if err != nil {
 			return CostEstimate{}, false
 		}
-		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{
-			Seed:           canon.Seed,
-			DeliveryShards: s.opts.DeliveryShards,
-			CheckPayload:   s.opts.CheckPayload,
-		})
+		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{Seed: canon.Seed})
 		if err != nil {
 			return CostEstimate{}, false
 		}
@@ -967,7 +949,7 @@ func (s *Service) Metrics() Metrics {
 		TierLatency:         make(map[string]HistogramSnapshot, len(s.durs)),
 	}
 	for tier, h := range s.durs {
-		m.TierLatency[tier] = h.snapshot()
+		m.TierLatency[tier] = h.Snapshot()
 	}
 	if total := hits + misses; total > 0 {
 		m.CacheHitRate = float64(hits) / float64(total)
@@ -1071,10 +1053,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // JobView.SetupNs).
 func (s *Service) worker() {
 	defer s.wg.Done()
-	eng := congest.NewEngine(congest.Options{
-		DeliveryShards: s.opts.DeliveryShards,
-		CheckPayload:   s.opts.CheckPayload,
-	})
+	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
 	for e := range s.queue {
 		s.runExec(eng, e)
@@ -1168,7 +1147,7 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 		for _, j := range e.waiters {
 			j.result = res
 			j.setupNs = setupNs
-			s.durs[e.tier].observe(now.Sub(j.created))
+			s.durs[e.tier].Observe(now.Sub(j.created))
 		}
 		s.log.Debug("job done", "tier", e.tier, "key", e.key,
 			"rounds", e.progress.Round(), "elapsed", now.Sub(started))
@@ -1346,14 +1325,12 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 // finishes or aborts.
 func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string) ([]byte, int64, error) {
 	opts := &distmincut.Options{
-		Seed:           e.req.Seed,
-		Epsilon:        e.req.Epsilon,
-		MaxRounds:      s.opts.MaxJobRounds,
-		Deadline:       e.deadlineAt,
-		DeliveryShards: s.opts.DeliveryShards,
-		Engine:         eng,
-		CheckPayload:   s.opts.CheckPayload,
-		Observer:       e.progress,
+		Seed:      e.req.Seed,
+		Epsilon:   e.req.Epsilon,
+		MaxRounds: s.opts.MaxJobRounds,
+		Deadline:  e.deadlineAt,
+		Engine:    eng,
+		Observer:  e.progress,
 	}
 	e.progress.startRun()
 	t0 := time.Now()

@@ -446,7 +446,7 @@ func TestDeterministicResultsAcrossInstances(t *testing.T) {
 	results := make([][][]byte, 2)
 	for inst := 0; inst < 2; inst++ {
 		// Different pool shapes must not leak into result bytes.
-		s := New(Options{PoolSize: 1 + inst*3, DeliveryShards: inst * 2})
+		s := New(Options{PoolSize: 1 + inst*3})
 		for _, req := range reqs {
 			v, err := s.Submit(req)
 			if err != nil {

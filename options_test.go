@@ -9,16 +9,16 @@ import (
 func TestOptionsDefaults(t *testing.T) {
 	var o *Options
 	d := o.withDefaults()
-	if d.Seed != 1 || d.Epsilon != 0.5 || d.MaxLambda != 1<<20 || d.ApproxTauMax != 32 {
+	if d.Seed != 1 || d.Epsilon != 0.5 || d.MaxLambda != 1<<20 {
 		t.Fatalf("nil options defaults wrong: %+v", d)
 	}
 	bad := &Options{Epsilon: 3}
 	if bad.withDefaults().Epsilon != 0.5 {
 		t.Fatal("epsilon >= 1 must fall back")
 	}
-	keep := &Options{Seed: 9, Epsilon: 0.25, MaxLambda: 64, ApproxTauMax: 4}
+	keep := &Options{Seed: 9, Epsilon: 0.25, MaxLambda: 64}
 	k := keep.withDefaults()
-	if k.Seed != 9 || k.Epsilon != 0.25 || k.MaxLambda != 64 || k.ApproxTauMax != 4 {
+	if k.Seed != 9 || k.Epsilon != 0.25 || k.MaxLambda != 64 {
 		t.Fatalf("explicit options clobbered: %+v", k)
 	}
 }

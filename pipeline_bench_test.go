@@ -17,12 +17,12 @@ import (
 // The instance is two 125k-node 8-regular expanders joined by a single
 // bridge, so λ = 1 with the bridge as the unique minimum cut. The
 // bridge belongs to every spanning tree, so the first packed tree
-// always 1-respects the minimum cut and a single-tree τ policy already
-// certifies exactness at the first doubling guess — the benchmark
-// exercises every pipeline stage exactly once instead of paying E7's
-// safety-margin tree count, which is what makes full MinCut tractable
-// as a repeatable scale proof. The run rides a reusable engine and
-// reports the setup-ns/round-ns split alongside protocol complexity.
+// always 1-respects the minimum cut, and PracticalTau's single tree for
+// λ = 1 certifies exactness at the first doubling guess: the benchmark
+// exercises every pipeline stage exactly once, which is what makes full
+// MinCut tractable as a repeatable scale proof. The run rides a
+// reusable engine and reports the setup-ns/round-ns split alongside
+// protocol complexity.
 var pipelineGraph struct {
 	once sync.Once
 	g    *graph.Graph
@@ -46,8 +46,7 @@ func bridgedExpanders(half, deg int, seed int64) *graph.Graph {
 }
 
 // BenchmarkApproxMillion runs the (1+ε) serving tier on the same
-// million-edge topology — with the DEFAULT τ policy, no benchmark-only
-// shortcut. This is the scale proof for the sampling reduction's
+// million-edge topology. This is the scale proof for the sampling reduction's
 // multi-level packing: λ = 1 ≤ κ, so level 0's capped exact search
 // resolves the cut exactly, and PracticalTau's λ=1 single-tree
 // schedule plus ExactDoubling's early-stop certification keep the
@@ -121,12 +120,7 @@ func BenchmarkPipelineMillion(b *testing.B) {
 	g := pipelineGraph.g
 	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
-	opts := &distmincut.Options{
-		Engine: eng,
-		// One tree per guess: the planted bridge is in every spanning
-		// tree, so tree 1 certifies λ = 1 (see the benchmark comment).
-		TauPolicy: func(lambda int64, n int) int { return 1 },
-	}
+	opts := &distmincut.Options{Engine: eng}
 	b.ResetTimer()
 	var rounds, messages, setup int64
 	for i := 0; i < b.N; i++ {
