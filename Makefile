@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-shards test-chaos fuzz-smoke vet fmt-check docs-check golden perfbench-check bench bench-service bench-gate ci
+.PHONY: build test test-short test-shard-rule test-chaos fuzz-smoke vet fmt-check docs-check golden perfbench-check bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -16,11 +16,11 @@ test:
 test-short:
 	$(GO) test -race -short -shuffle=on ./...
 
-# test-shards runs the determinism, golden and protocol differential
+# test-shard-rule runs the determinism, golden and protocol differential
 # tests plus the delivery-sharding rule test at GOMAXPROCS 1 and 2, so
 # both sides of the engine's automatic shard choice (serial below 2048
 # nodes, one shard per CPU at or above) are exercised on every push.
-test-shards:
+test-shard-rule:
 	$(GO) test -short -cpu 1,2 -run 'TestGolden|TestDeterminism|TestDiff|TestDeliveryShardRule' ./internal/congest ./internal/proto
 
 # golden rewrites internal/congest/testdata/golden.json, the pinned
@@ -124,4 +124,4 @@ bench-gate:
 		fi; \
 		rm -f BENCH_engine.baseline.json; exit $$status
 
-ci: fmt-check vet build perfbench-check test-short test-shards docs-check
+ci: fmt-check vet build perfbench-check test-short test-shard-rule docs-check

@@ -95,9 +95,9 @@ type Options struct {
 	Observer congest.Observer
 }
 
-// approxTauMax caps the trees packed per sampling level of
+// treesPerLevel caps the trees packed per sampling level of
 // ApproxMinCut.
-const approxTauMax = 32
+const treesPerLevel = 32
 
 func (o *Options) withDefaults() Options {
 	var out Options
@@ -448,7 +448,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
 		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, approxTauMax, loads,
+		cur := packing.Pack(nd, bfs, treesPerLevel, loads,
 			packing.Options{Weight: weightAt(level), StopBelow: kappa, SizeCap: o.SizeCap},
 			tagBase, nil)
 		if mark {

@@ -25,11 +25,11 @@ func TrialSeed(seed int64, trial int) int64 {
 	return int64(h >> 1)
 }
 
-// BracketTrials is the number of independent skeletons the bracket
+// trialsPerLevel is the number of independent skeletons the bracket
 // program tests per level. More trials sharpen the lower bound — a
 // level only counts as "connected" if every trial's skeleton is
 // connected.
-const BracketTrials = 3
+const trialsPerLevel = 3
 
 // BracketConfig tunes the bracket program. The zero value is ready to
 // use.
@@ -83,7 +83,7 @@ type BracketOutcome struct {
 //
 // All branch decisions are functions of globally agreed values
 // (convergecast totals), so every node follows the same schedule in
-// lockstep. The tag range [tagBase, tagBase+4+4·BracketTrials·MaxLevel)
+// lockstep. The tag range [tagBase, tagBase+4+4·trialsPerLevel·MaxLevel)
 // is consumed.
 func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase uint32) BracketOutcome {
 	if cfg.Seed == 0 {
@@ -126,18 +126,18 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase ui
 		maxLevel = 60
 	}
 
-	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode, Trials: BracketTrials}
+	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode, Trials: trialsPerLevel}
 	keep := make([]bool, nd.Degree())
 	for level := 1; level <= maxLevel; level++ {
 		if mark {
 			nd.Mark("begin:bracket:" + strconv.Itoa(level))
 		}
-		for trial := 0; trial < BracketTrials; trial++ {
+		for trial := 0; trial < trialsPerLevel; trial++ {
 			seed := TrialSeed(cfg.Seed, trial)
 			for p := range keep {
 				keep[p] = SampleWeight(seed, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
 			}
-			tag := tagBase + 4 + 4*uint32((level-1)*BracketTrials+trial)
+			tag := tagBase + 4 + 4*uint32((level-1)*trialsPerLevel+trial)
 			if !sampledConnected(nd, bfs, keep, cfg.ChunkRounds, tag) {
 				out.Level = level
 				break

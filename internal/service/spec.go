@@ -51,9 +51,9 @@
 // two cache entries. TierKey re-addresses a canonical request at
 // another tier, which is how a tiered job names its phase results with
 // the exact same keys direct approx/exact submissions produce. The
-// engine's delivery-shard count is deliberately excluded from the key:
-// the runtime guarantees results are identical under any setting, so
-// it is service configuration, not job identity.
+// engine's delivery-shard count, which it picks from the graph size
+// and CPU count, is not part of the key: the runtime guarantees
+// results are identical under any shard count.
 package service
 
 import (
