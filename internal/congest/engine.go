@@ -37,8 +37,8 @@ type Options struct {
 	// count.
 	//
 	// Zero (the default) lets the engine pick per run by graph size:
-	// serial below shardMinNodes nodes, one shard per available CPU
-	// (GOMAXPROCS) at or above it (see the "Delivery shard default"
+	// serial below 2048 nodes (shardMinNodes), one shard per available
+	// CPU (GOMAXPROCS) at or above it (see the "Delivery shard default"
 	// note in README.md). A positive value pins that many shards; a
 	// negative value (or 1) pins serial delivery on the coordinator
 	// goroutine. The count is structural: it is fixed when the engine
