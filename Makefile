@@ -52,8 +52,9 @@ vet:
 
 # docs-check keeps the documentation layer honest: every relative link
 # in README/ROADMAP/docs must resolve (including #heading anchors into
-# markdown files), and every exported identifier in the serving surface
-# (package distmincut, internal/service) must carry a doc comment.
+# markdown files), every .md file a Go comment names must exist, and
+# every exported identifier in the serving surface (package distmincut,
+# internal/service) must carry a doc comment.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

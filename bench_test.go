@@ -13,7 +13,8 @@ import (
 	"distmincut/internal/respect"
 )
 
-// One benchmark per experiment (E1–E9, see EXPERIMENTS.md). Each
+// One benchmark per experiment (E1–E9; the internal/harness package
+// doc maps each to the paper claim it measures). Each
 // regenerates its table in quick mode; per-run CONGEST metrics are
 // reported through b.ReportMetric so `go test -bench` output carries
 // the reproduction's headline numbers, not just wall time.
@@ -93,7 +94,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			for r := 0; r < 20; r++ {
 				nd.SendAll(congest.Message{Kind: kind, Tag: uint32(r)})
 				for j := 0; j < nd.Degree(); j++ {
-					nd.Recv(congest.MatchKindTag(kind, uint32(r)))
+					nd.Recv(congest.WantTag(uint32(r), kind))
 				}
 			}
 		})

@@ -1,5 +1,5 @@
-// Command bench regenerates every experiment table (E1–E9, see
-// EXPERIMENTS.md) and prints them as markdown.
+// Command bench regenerates every experiment table (E1–E9, see the
+// internal/harness package doc) and prints them as markdown.
 //
 // Usage:
 //

@@ -1,11 +1,16 @@
 // Command docscheck is the documentation gate `make docs-check` runs in
-// CI. It enforces two invariants:
+// CI. It enforces three invariants:
 //
 //   - Markdown hygiene: every relative link in the given markdown files
 //     (and directories of them) must resolve to an existing file, and a
 //     #fragment pointing into a markdown file must name a real heading
 //     (GitHub anchor slugs). External links (with a URL scheme) are not
 //     fetched — the gate must pass offline.
+//
+//   - Markdown references in Go comments: every name ending in .md in
+//     a comment of any Go file under the working directory (test files
+//     included) must name an existing file, relative to the Go file's
+//     directory or to the working directory.
 //
 //   - Doc comments: every exported identifier in the given Go packages
 //     must carry a doc comment (a grouped const/var/type block's doc
@@ -61,6 +66,12 @@ func run() int {
 		}
 		problems = append(problems, ps...)
 	}
+	ps, err := checkGoRefs(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		return 2
+	}
+	problems = append(problems, ps...)
 	for _, dir := range strings.Split(*pkgs, ",") {
 		if dir = strings.TrimSpace(dir); dir == "" {
 			continue
@@ -167,6 +178,42 @@ func checkLinks(file string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// mdRefRE matches a markdown file name as Go comments mention one
+// (README.md, docs/API.md).
+var mdRefRE = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkGoRefs reports each .md file named in a comment of a Go file
+// under root that exists neither next to that Go file nor under root.
+// Hidden directories are skipped.
+func checkGoRefs(root string) ([]string, error) {
+	var problems []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, ref := range mdRefRE.FindAllString(c.Text, -1) {
+					_, errHere := os.Stat(filepath.Join(filepath.Dir(path), ref))
+					if _, errRoot := os.Stat(filepath.Join(root, ref)); errHere != nil && errRoot != nil {
+						problems = append(problems, fmt.Sprintf("%s: comment names missing file %s", fset.Position(c.Pos()), ref))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return problems, err
 }
 
 // hasAnchor reports whether the markdown file has a heading whose

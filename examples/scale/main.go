@@ -27,9 +27,9 @@ const exchangeKind uint8 = 0x51
 // single full-bandwidth CONGEST round plus drain.
 func exchange(nd *congest.Node) {
 	nd.SendAll(congest.Message{Kind: exchangeKind, A: int64(nd.ID())})
-	match := congest.MatchKind(exchangeKind)
+	want := congest.WantTag(0, exchangeKind)
 	for i := nd.Degree(); i > 0; i-- {
-		nd.Recv(match)
+		nd.Recv(want)
 	}
 }
 

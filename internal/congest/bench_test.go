@@ -22,16 +22,16 @@ const benchKind uint8 = 0x42
 // neighbor — the densest uniform load the model admits, exercising
 // deliver, matching, and wake-up on every node every round. All sends
 // are staged up front (the per-edge FIFOs pipeline them at one per
-// round) and the program allocates only one match closure per node, so
-// measured allocations are the engine's, not the workload's.
+// round) and receives allocate nothing, so measured allocations are the
+// engine's, not the workload's.
 func exchangeProgram(rounds int) func(*Node) {
 	return func(nd *Node) {
-		match := MatchKind(benchKind)
+		want := WantTag(0, benchKind)
 		for r := 0; r < rounds; r++ {
-			nd.SendAll(Message{Kind: benchKind, Tag: uint32(r)})
+			nd.SendAll(Message{Kind: benchKind})
 		}
 		for i := rounds * nd.Degree(); i > 0; i-- {
-			nd.Recv(match)
+			nd.Recv(want)
 		}
 	}
 }
@@ -50,13 +50,13 @@ func pingPongProgram(a, b graph.NodeID, hops int) func(*Node) {
 			peer = a
 		}
 		p := nd.PortTo(peer)
-		match := MatchKind(benchKind)
+		want := WantTag(0, benchKind)
 		for i := 0; i < hops; i++ {
 			if nd.ID() == a {
 				nd.Send(p, Message{Kind: benchKind})
-				nd.Recv(match)
+				nd.Recv(want)
 			} else {
-				nd.Recv(match)
+				nd.Recv(want)
 				nd.Send(p, Message{Kind: benchKind})
 			}
 		}

@@ -15,7 +15,7 @@ func pingPong(iters int) func(*Node) {
 	return func(nd *Node) {
 		for i := 0; i < iters; i++ {
 			nd.Send(0, Message{Kind: 1, Tag: uint32(i)})
-			nd.Recv(MatchKindTag(1, uint32(i)))
+			nd.Recv(WantTag(uint32(i), 1))
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestProgressGaugeMatchesStats(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			nd.SendAll(Message{Kind: 1, Tag: uint32(i)})
 			for k := 0; k < nd.Degree(); k++ {
-				nd.Recv(MatchKindTag(1, uint32(i)))
+				nd.Recv(WantTag(uint32(i), 1))
 			}
 		}
 	})
@@ -134,7 +134,7 @@ func TestCheckPayloadAllowsLegitimateTraffic(t *testing.T) {
 	stats, err := Run(g, Options{}, func(nd *Node) {
 		nd.SendAll(Message{Kind: 1, A: -1, B: PayloadLimit, C: -PayloadLimit})
 		for i := 0; i < nd.Degree(); i++ {
-			nd.Recv(MatchKind(1))
+			nd.Recv(WantTag(0, 1))
 		}
 	})
 	if err != nil {

@@ -33,14 +33,14 @@ func chatterProgram(nd *Node) {
 	)
 	reps := 1 + nd.Rand().Intn(4)
 	for i := 0; i < reps; i++ {
-		nd.SendAll(Message{Kind: kData, Tag: uint32(i), A: int64(nd.ID())})
+		nd.SendAll(Message{Kind: kData, A: int64(nd.ID())})
 	}
 	if nd.Rand().Intn(2) == 0 {
 		nd.Sleep(1 + nd.Rand().Intn(3))
 	}
 	nd.SendAll(Message{Kind: kClose})
 	for markers := 0; markers < nd.Degree(); {
-		_, m := nd.Recv(MatchAny)
+		_, m := nd.Recv(WantTag(0, kData, kClose))
 		if m.Kind == kClose {
 			markers++
 		}
@@ -202,7 +202,7 @@ func TestReusedEngineAfterAbort(t *testing.T) {
 	eng := NewEngine(Options{Seed: 42})
 	defer eng.Close()
 	// Deadlock abort: every node parks in Recv with no traffic.
-	if _, err := eng.Run(g, func(nd *Node) { nd.Recv(MatchKind(kindToken)) }); !errors.Is(err, ErrDeadlock) {
+	if _, err := eng.Run(g, func(nd *Node) { nd.Recv(WantTag(0, kindToken)) }); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 	stats, err := eng.Run(g, chatterProgram)
@@ -220,7 +220,7 @@ func TestReusedEngineAfterAbort(t *testing.T) {
 			panic("boom")
 		}
 		for i := 0; i < nd.Degree(); i++ {
-			nd.Recv(MatchKind(kindData))
+			nd.Recv(WantTag(0, kindData))
 		}
 	}); err == nil {
 		t.Fatal("expected panic error")
@@ -325,7 +325,7 @@ func TestShardsPanicPropagation(t *testing.T) {
 		if nd.ID() == 4 {
 			panic("boom")
 		}
-		nd.Recv(MatchKind(kindToken))
+		nd.Recv(WantTag(0, kindToken))
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Node != 4 {
@@ -336,7 +336,7 @@ func TestShardsPanicPropagation(t *testing.T) {
 func TestShardsDeadlockDetection(t *testing.T) {
 	g := graph.Path(5)
 	_, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken))
+		nd.Recv(WantTag(0, kindToken))
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -349,7 +349,7 @@ func TestShardsMoreThanNodes(t *testing.T) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: kindToken})
 		} else {
-			nd.RecvKindTag(kindToken, 0)
+			nd.Recv(WantTag(0, kindToken))
 		}
 	})
 	if err != nil {
@@ -404,15 +404,15 @@ func workerPairs(n int) *graph.Graph {
 // odd node echoes whatever arrives.
 func pairPingPong(k int) func(*Node) {
 	return func(nd *Node) {
-		match := MatchKindTag(kindToken, 0)
+		want := WantTag(0, kindToken)
 		for i := 0; i < k; i++ {
 			if nd.ID()%2 == 0 {
 				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
-				if _, m := nd.Recv(match); m.A != int64(i) {
+				if _, m := nd.Recv(want); m.A != int64(i) {
 					panic("token payload corrupted")
 				}
 			} else {
-				_, m := nd.Recv(match)
+				_, m := nd.Recv(want)
 				nd.Send(0, m)
 			}
 		}
@@ -440,7 +440,7 @@ func TestWorkersPanicPropagation(t *testing.T) {
 		if nd.ID() == 100 {
 			panic("boom")
 		}
-		nd.Recv(MatchKind(kindToken))
+		nd.Recv(WantTag(0, kindToken))
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Node != 100 {
@@ -451,7 +451,7 @@ func TestWorkersPanicPropagation(t *testing.T) {
 func TestWorkersDeadlockDetection(t *testing.T) {
 	g := graph.Path(2 * parallelMatchMin)
 	_, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken))
+		nd.Recv(WantTag(0, kindToken))
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)

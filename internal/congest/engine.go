@@ -186,9 +186,9 @@ func (e *PanicError) Error() string {
 // goroutines, each moving whole ring spans per port and stamping
 // receivers into its own epoch-numbered generation array — then merges
 // per-shard delivered counts and receiver sets, (3) computes the wake
-// list from satisfied Recv predicates (evaluated in parallel over the
-// same shards when the receiver set is large) and due sleepers, and
-// (4) dispatches it, waking every listed node's goroutine at once.
+// list from pending Recv selectors that now match (evaluated in
+// parallel over the same shards when the receiver set is large) and due
+// sleepers, and (4) dispatches it, waking every listed node's goroutine at once.
 type Engine struct {
 	g       *graph.Graph
 	opts    Options
@@ -410,8 +410,9 @@ func getNodeSlab(n int) []Node {
 
 // putNodeSlab releases a node slab, clearing every field that points
 // outside the slab's own reusable state (graph adjacency, engine,
-// queue and wake-channel slices, match closures) so a pooled slab
-// cannot pin the last run's graph or engine until sync.Pool eviction.
+// queue and wake-channel slices, pending Wants' port lists) so a pooled
+// slab cannot pin the last run's graph or engine until sync.Pool
+// eviction.
 // Per-node RNGs are deliberately kept: they reference only their own
 // generator state and are reseeded on reuse.
 func putNodeSlab(slab []Node) {
@@ -423,7 +424,7 @@ func putNodeSlab(slab []Node) {
 		nd.outQ = nil
 		nd.inQ = nil
 		nd.wakeCh = nil
-		nd.match = nil
+		nd.want = Want{}
 		nd.panicVal = nil
 	}
 	nodeSlabPool[slabClass(cap(slab))].Put(slab) //nolint:staticcheck // slice header cost is amortized over the slab
@@ -698,14 +699,13 @@ func (e *Engine) setupRun(g *graph.Graph) {
 		nd := &e.nodeSlab[i]
 		rng := nd.rng // survives reinit; reseeded lazily via runGen
 		*nd = Node{
-			id:       graph.NodeID(i),
-			eng:      e,
-			adj:      adj,
-			rng:      rng,
-			outQ:     qSlab[off : off+len(adj)],
-			inQ:      qSlab[ports+off : ports+off+len(adj)],
-			wakeCh:   e.wakeChs[i],
-			hintPort: -1,
+			id:     graph.NodeID(i),
+			eng:    e,
+			adj:    adj,
+			rng:    rng,
+			outQ:   qSlab[off : off+len(adj)],
+			inQ:    qSlab[ports+off : ports+off+len(adj)],
+			wakeCh: e.wakeChs[i],
 		}
 		e.nodes[i] = nd
 	}
@@ -763,10 +763,10 @@ func (e *Engine) resetDirtyQueues() {
 // a dirty sender fed — each (sender, port) pair feeds exactly one
 // per-port FIFO at its peer, so summing over the dirty nodes' fed
 // queues counts every leftover exactly once. The other per-node run
-// state needs no teardown pass at all: phase and match are cleared at
-// the node's next spawn (see activate), a consumed hint always resets
-// itself, and panics force a full reinitialization. Called after every
-// node goroutine has exited.
+// state needs no teardown pass at all: phase and want are cleared at
+// the node's next spawn (see activate), a hint is written before every
+// wake that reads it, and panics force a full reinitialization. Called
+// after every node goroutine has exited.
 func (e *Engine) collectAndReset() *Stats {
 	// An abort between round barriers can leave senders registered but
 	// not yet merged into the dirty list; fold them in so their sent
@@ -866,14 +866,14 @@ func (e *Engine) notifyPark(nd *Node) {
 // node's goroutine (the lazy start), later ones send a wake permit to
 // its parked goroutine. The spawn decision compares the node's spawn
 // generation to the engine's run counter, so per-node run state left
-// behind by a previous clean run (phase, a pinned match closure) is
-// cleared here, at the node's first activation, instead of by an O(n)
-// teardown pass.
+// behind by a previous clean run (phase, a pending Want pinning a port
+// list) is cleared here, at the node's first activation, instead of by
+// an O(n) teardown pass.
 func (e *Engine) activate(nd *Node) {
 	if nd.spawnGen != e.runGen {
 		nd.spawnGen = e.runGen
 		nd.phase = phaseRunning
-		nd.match = nil
+		nd.want = Want{}
 		e.termWG.Add(1)
 		go e.runNode(nd)
 		return
@@ -1122,10 +1122,10 @@ func (e *Engine) deliver() {
 // orderReceivers rewrites e.receivers in node-ID order: a dense set is
 // rebuilt with one sequential sweep of the generation array, a sparse
 // one is sorted directly. Receiver order never affects Stats (matching
-// is a pure per-node predicate and wake order is semantically free), but
-// ID order makes the matching phase and the woken nodes' first Recv
-// stream through the node and queue slabs instead of chasing the random
-// peer order delivery produced.
+// reads only the node's own queues and pending Want, and wake order is
+// semantically free), but ID order makes the matching phase and the
+// woken nodes' first Recv stream through the node and queue slabs
+// instead of chasing the random peer order delivery produced.
 func (e *Engine) orderReceivers(gen []uint32, cur uint32) {
 	r := e.receivers
 	if len(r) <= 1 {
@@ -1235,30 +1235,21 @@ func (sh *deliveryShard) deliver() {
 	}
 }
 
-// match evaluates the Recv predicates of the [lo, hi) chunk of the
-// merged receiver list and collects the satisfied ones into the shard's
-// wake sublist. Reads queue state only; the single write per receiver
-// (the match hint) goes to a node this chunk exclusively owns.
+// match evaluates the pending Recv selectors of the [lo, hi) chunk of the
+// merged receiver list into the shard's wake sublist. Reads queue state
+// only; the single write per receiver (the match hint) goes to a node
+// this chunk exclusively owns.
 func (sh *deliveryShard) match() {
-	e := sh.eng
-	sh.wake = sh.wake[:0]
-	for _, nd := range e.receivers[sh.lo:sh.hi] {
-		if nd.phase != phaseRecv {
-			continue // running sleeper accounting separately; done nodes keep leftovers
-		}
-		if e.matches(nd) {
-			sh.wake = append(sh.wake, nd)
-		}
-	}
+	sh.wake = appendMatched(sh.wake[:0], sh.eng.receivers[sh.lo:sh.hi])
 }
 
 // parallelMatchMin is the receiver-count threshold below which the
 // matching phase stays on the coordinator even when shards exist.
 const parallelMatchMin = 64
 
-// buildWakeSet fills e.wake with receivers whose Recv predicate is now
-// satisfied plus sleepers whose deadline has passed. With shards and a
-// large receiver set, predicate evaluation fans out over the shard
+// buildWakeSet fills e.wake with receivers whose pending Want now
+// matches plus sleepers whose deadline has passed. With shards and a
+// large receiver set, selector evaluation fans out over the shard
 // workers in contiguous chunks whose wake sublists concatenate in chunk
 // order (wake-list order never affects Stats; see the package docs).
 func (e *Engine) buildWakeSet() {
@@ -1283,14 +1274,7 @@ func (e *Engine) buildWakeSet() {
 			e.wake = append(e.wake, sh.wake...)
 		}
 	} else {
-		for _, nd := range e.receivers {
-			if nd.phase != phaseRecv {
-				continue // running sleeper accounting separately; done nodes keep leftovers
-			}
-			if e.matches(nd) {
-				e.wake = append(e.wake, nd)
-			}
-		}
+		e.wake = appendMatched(e.wake, e.receivers)
 	}
 	for e.sleepers.Len() > 0 && e.sleepers[0].at <= e.round {
 		entry := heap.Pop(&e.sleepers).(sleepEntry)
@@ -1308,27 +1292,23 @@ func (e *Engine) purgeStaleSleepers() {
 	}
 }
 
-// matches reports whether nd's pending Recv predicate is satisfied,
-// recording the matching (port, index) as a hint so the woken node's
-// Recv can consume the message directly instead of rescanning. The scan
-// order (lowest port, FIFO within a port) is exactly TryRecv's, so the
-// hint is the message TryRecv would find.
-func (e *Engine) matches(nd *Node) bool {
-	for p := range nd.inQ {
-		q := &nd.inQ[p]
-		n := q.n
-		if n == 0 {
+// appendMatched appends to wake every receiver whose pending Want now
+// accepts a buffered message (running sleepers are accounted separately
+// and done nodes keep leftovers). It records each match's (port, index)
+// as a hint so the woken Recv consumes the message without rescanning;
+// the scan is TryRecv's own (Node.find), so the hint is the message
+// TryRecv would find.
+func appendMatched(wake, receivers []*Node) []*Node {
+	for _, nd := range receivers {
+		if nd.phase != phaseRecv {
 			continue
 		}
-		mask := len(q.buf) - 1
-		for i := 0; i < n; i++ {
-			if nd.match(p, q.buf[(q.head+i)&mask]) {
-				nd.hintPort, nd.hintIdx = int32(p), int32(i)
-				return true
-			}
+		if p, i := nd.find(&nd.want); p >= 0 {
+			nd.hintPort, nd.hintIdx = int32(p), int32(i)
+			wake = append(wake, nd)
 		}
 	}
-	return false
+	return wake
 }
 
 // abort wakes every parked node so its goroutine unwinds via the

@@ -41,11 +41,11 @@ func TestSendAllReachesEveryNeighbor(t *testing.T) {
 		if nd.ID() == 0 {
 			nd.SendAll(Message{Kind: kind, A: 7})
 			for i := 0; i < nd.Degree(); i++ {
-				nd.Recv(MatchKind(kind))
+				nd.Recv(WantTag(0, kind))
 			}
 			return
 		}
-		_, m := nd.Recv(MatchKind(kind))
+		_, m := nd.Recv(WantTag(0, kind))
 		if m.A != 7 {
 			panic("payload lost")
 		}
@@ -62,7 +62,7 @@ func TestSendAllReachesEveryNeighbor(t *testing.T) {
 func TestTryRecvEmpty(t *testing.T) {
 	g := graph.Path(2)
 	_, err := Run(g, Options{}, func(nd *Node) {
-		if _, _, ok := nd.TryRecv(MatchAny); ok {
+		if _, _, ok := nd.TryRecv(WantTag(0, 0)); ok {
 			panic("TryRecv found a message in an empty inbox")
 		}
 	})
@@ -88,7 +88,7 @@ func TestLeftoverAccounting(t *testing.T) {
 			nd.Send(0, Message{Kind: 1})
 			nd.Send(0, Message{Kind: 2})
 		} else {
-			nd.Recv(MatchKind(1)) // kind 2 never consumed
+			nd.Recv(WantTag(0, 1)) // kind 2 never consumed
 		}
 	})
 	if err != nil {
@@ -113,13 +113,13 @@ func TestMessageOrderWithinPort(t *testing.T) {
 		}
 		// Consume kind-2 first, then kind-1: both must be in order.
 		for i := 0; i < 5; i++ {
-			_, m := nd.Recv(MatchKind(2))
+			_, m := nd.Recv(WantTag(0, 2))
 			if m.A != int64(i) {
 				panic("kind-2 out of order")
 			}
 		}
 		for i := 0; i < 5; i++ {
-			_, m := nd.Recv(MatchKind(1))
+			_, m := nd.Recv(WantTag(0, 1))
 			if m.A != int64(i) {
 				panic("kind-1 out of order")
 			}

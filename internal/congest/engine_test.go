@@ -25,12 +25,12 @@ func TestPingPongRounds(t *testing.T) {
 		for i := 0; i < k; i++ {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
-				_, m := nd.RecvKindTag(kindToken, 0)
+				_, m := nd.Recv(WantTag(0, kindToken))
 				if m.A != int64(i) {
 					panic("token payload corrupted")
 				}
 			} else {
-				_, m := nd.RecvKindTag(kindToken, 0)
+				_, m := nd.Recv(WantTag(0, kindToken))
 				nd.Send(0, m)
 			}
 		}
@@ -58,12 +58,12 @@ func TestFloodFillRounds(t *testing.T) {
 			got[0] = 0
 			return
 		}
-		nd.Recv(MatchKind(kindFlood))
+		nd.Recv(WantTag(0, kindFlood))
 		got[nd.ID()] = nd.Round()
 		nd.SendAll(Message{Kind: kindFlood})
 		// Absorb floods from remaining neighbors so nothing is left over.
 		for i := 0; i < nd.Degree()-1; i++ {
-			nd.Recv(MatchKind(kindFlood))
+			nd.Recv(WantTag(0, kindFlood))
 		}
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestPipeliningCharge(t *testing.T) {
 			return
 		}
 		for i := 0; i < k; i++ {
-			_, m := nd.Recv(MatchKind(kindData))
+			_, m := nd.Recv(WantTag(0, kindData))
 			if m.A != int64(i) {
 				panic("FIFO order violated")
 			}
@@ -129,7 +129,7 @@ func TestUnboundedDelivery(t *testing.T) {
 			return
 		}
 		for i := 0; i < k; i++ {
-			nd.Recv(MatchKind(kindData))
+			nd.Recv(WantTag(0, kindData))
 		}
 	})
 	if err != nil {
@@ -172,11 +172,11 @@ func TestSelectiveReceive(t *testing.T) {
 			nd.Send(0, Message{Kind: kindToken, A: 1}) // arrives second
 			return
 		}
-		_, m := nd.Recv(MatchKind(kindToken)) // waits past the data msg
+		_, m := nd.Recv(WantTag(0, kindToken)) // waits past the data msg
 		if m.A != 1 {
 			panic("wrong token")
 		}
-		_, m2 := nd.Recv(MatchKind(kindData))
+		_, m2 := nd.Recv(WantTag(0, kindData))
 		if m2.A != 99 {
 			panic("buffered data lost")
 		}
@@ -189,7 +189,7 @@ func TestSelectiveReceive(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	g := graph.Path(2)
 	_, err := Run(g, Options{}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken)) // nobody ever sends
+		nd.Recv(WantTag(0, kindToken)) // nobody ever sends
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -202,7 +202,7 @@ func TestPanicPropagation(t *testing.T) {
 		if nd.ID() == 2 {
 			panic("boom")
 		}
-		nd.Recv(MatchKind(kindToken))
+		nd.Recv(WantTag(0, kindToken))
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -219,9 +219,9 @@ func TestMaxRoundsAborts(t *testing.T) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -250,9 +250,9 @@ func TestDeadlineAborts(t *testing.T) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -290,9 +290,9 @@ func TestDeadlineAborts(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(WantTag(0, kindToken))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -323,11 +323,11 @@ func TestDeterminism(t *testing.T) {
 			// its marker. Terminates regardless of scheduling.
 			reps := 2 + nd.Rand().Intn(3)
 			for i := 0; i < reps; i++ {
-				nd.SendAll(Message{Kind: kindData, Tag: uint32(i), A: int64(nd.ID())})
+				nd.SendAll(Message{Kind: kindData, A: int64(nd.ID())})
 			}
 			nd.SendAll(Message{Kind: kindToken})
 			for markers := 0; markers < nd.Degree(); {
-				_, m := nd.Recv(MatchAny)
+				_, m := nd.Recv(WantTag(0, kindData, kindToken))
 				if m.Kind == kindToken {
 					markers++
 				}
@@ -349,7 +349,7 @@ func TestMarkPhases(t *testing.T) {
 	g := graph.Path(2)
 	stats, err := Run(g, Options{}, func(nd *Node) {
 		if nd.ID() != 0 {
-			nd.RecvKindTag(kindData, 0)
+			nd.Recv(WantTag(0, kindData))
 			return
 		}
 		nd.Mark("begin:xfer")

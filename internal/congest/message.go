@@ -7,13 +7,17 @@
 //
 // A node program is ordinary Go code, a func(*Node). Each node runs it
 // on its own goroutine, which holds the program's state on its stack
-// between rounds and parks by blocking in Recv or Sleep. A node stages
+// between rounds and parks by blocking in Recv or Sleep. A receive
+// names the messages it accepts with a Want: one tag, one to three
+// kinds, and a port scope (every port, one port, or an ascending port
+// list); the receive and the scheduler's wake check scan only the ports
+// in that scope, lowest first, FIFO within a port. A node stages
 // outgoing messages in one FIFO per port; the runtime transmits the
 // head of every FIFO each round, so multi-message transfers are
 // automatically pipelined and pay their true round cost. A
 // round-synchronous scheduler advances the global round only when
 // every node is parked, delivers the head of every staged edge queue,
-// and wakes exactly the nodes whose receive predicate is now satisfied
+// and wakes exactly the nodes whose pending receive now has a message
 // or whose sleep deadline passed, making all of their goroutines
 // runnable at once. Rounds with no traffic and no due wake-ups are
 // fast-forwarded, and delivery walks a registry of nodes with staged
@@ -56,7 +60,7 @@
 // registry is partitioned by node-ID range over that many worker
 // goroutines, each delivering its senders and stamping receivers into
 // its own epoch-numbered array; the coordinator then merges per-shard delivered counts and receiver
-// sets in shard order and fans the receive-predicate evaluation back
+// sets in shard order and fans the receive-selector evaluation back
 // out over the same workers. Sharding is safe because delivery is
 // order-independent: each (sender, port) pair feeds exactly one
 // per-port FIFO at its peer, so no two shards ever write the same
@@ -89,6 +93,8 @@
 // free, as in CONGEST.
 package congest
 
+import "math"
+
 // Message is the unit of communication: a kind (protocol opcode), a tag
 // (protocol instance / epoch, so that consecutive uses of a primitive
 // never confuse each other's traffic), and four payload words. Total
@@ -118,31 +124,48 @@ const PayloadWords = 4
 // "∞ / none" sentinels (an O(1)-bit symbol, not a counted quantity).
 const PayloadLimit = int64(1) << 62
 
-// MatchFunc decides whether a buffered or newly delivered message
-// satisfies a pending Recv. It must be a pure function of its arguments:
-// the coordinator evaluates it while the owning node is parked.
-type MatchFunc func(port int, m Message) bool
-
-// MatchAny accepts every message.
-func MatchAny(int, Message) bool { return true }
-
-// MatchKind accepts messages with the given kind.
-func MatchKind(kind uint8) MatchFunc {
-	return func(_ int, m Message) bool { return m.Kind == kind }
+// Want names the messages a receive accepts: one tag, a set of one to
+// three kinds, and a port scope (every port, one port, or an ascending
+// port list). It is plain data, so building one allocates nothing, the
+// scheduler can evaluate it while the owning node is parked, and a
+// receive scans only the ports its scope names. The zero Want accepts
+// nothing; build one with WantTag.
+type Want struct {
+	tag   uint32
+	kinds [3]uint8 // the kind set, padded by repeating its last kind
+	lo    int      // scope when ports is nil: ports [lo, hi)
+	hi    int
+	ports []int // scope when non-nil: these ports, ascending
 }
 
-// MatchKindTag accepts messages with the given kind and tag.
-func MatchKindTag(kind uint8, tag uint32) MatchFunc {
-	return func(_ int, m Message) bool { return m.Kind == kind && m.Tag == tag }
+// WantTag returns the selector for messages that carry tag and whose
+// kind is one of kinds (one to three), on every port.
+func WantTag(tag uint32, kinds ...uint8) Want {
+	if len(kinds) == 0 || len(kinds) > len(Want{}.kinds) {
+		panic("congest: WantTag takes one to three kinds")
+	}
+	w := Want{tag: tag, hi: math.MaxInt}
+	for i := range w.kinds {
+		w.kinds[i] = kinds[min(i, len(kinds)-1)]
+	}
+	return w
 }
 
-// MatchPort accepts any message arriving on the given port.
-func MatchPort(port int) MatchFunc {
-	return func(p int, _ Message) bool { return p == port }
+// OnPort narrows w to port p.
+func (w Want) OnPort(p int) Want {
+	w.lo, w.hi, w.ports = p, p+1, nil
+	return w
 }
 
-// MatchKindTagPort accepts messages with the given kind and tag on one
-// specific port.
-func MatchKindTagPort(kind uint8, tag uint32, port int) MatchFunc {
-	return func(p int, m Message) bool { return p == port && m.Kind == kind && m.Tag == tag }
+// OnPorts narrows w to ports, which must be ascending; an empty list
+// accepts nothing. The receive keeps a reference to the list, so it
+// must not change while the receive is pending.
+func (w Want) OnPorts(ports []int) Want {
+	w.lo, w.hi, w.ports = 0, 0, ports
+	return w
+}
+
+// accepts reports whether m carries w's tag and one of its kinds.
+func (w *Want) accepts(m *Message) bool {
+	return m.Tag == w.tag && (m.Kind == w.kinds[0] || m.Kind == w.kinds[1] || m.Kind == w.kinds[2])
 }

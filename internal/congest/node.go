@@ -44,17 +44,17 @@ type Node struct {
 	inQ  []queue // received but not yet consumed, one FIFO per port
 
 	phase    nodePhase
-	match    MatchFunc // valid while phase == phaseRecv
-	wakeAt   int       // valid while phase == phaseSleep
-	parkGen  int       // incremented on every park; invalidates stale sleeper heap entries
+	want     Want // valid while phase == phaseRecv
+	wakeAt   int  // valid while phase == phaseSleep
+	parkGen  int  // incremented on every park; invalidates stale sleeper heap entries
 	wakeCh   chan struct{}
 	panicVal any
 
 	// Match hint: when the scheduler wakes this node from Recv, it has
 	// already found the first matching message (lowest port, FIFO within
-	// a port) while evaluating the wake predicate; it records that
+	// a port) while evaluating the pending Want; it records that
 	// position here so the woken Recv consumes it directly instead of
-	// rescanning every port. hintPort is -1 whenever no hint is pending.
+	// rescanning its scope.
 	hintPort int32
 	hintIdx  int32
 
@@ -163,55 +163,51 @@ func (nd *Node) SendAll(m Message) {
 	}
 }
 
-// TryRecv consumes and returns the first buffered message (lowest port,
-// FIFO within a port) matching match, without blocking.
-func (nd *Node) TryRecv(match MatchFunc) (int, Message, bool) {
-	for p := range nd.inQ {
-		q := &nd.inQ[p]
-		n := q.n
-		if n == 0 {
-			continue
-		}
-		mask := len(q.buf) - 1
-		for i := 0; i < n; i++ {
-			if match(p, q.buf[(q.head+i)&mask]) {
-				return p, q.removeAt(&msgBufPool, i), true
-			}
-		}
+// TryRecv consumes and returns the first buffered message w accepts
+// (lowest port in w's scope, FIFO within a port), without blocking.
+func (nd *Node) TryRecv(w Want) (int, Message, bool) {
+	if p, i := nd.find(&w); p >= 0 {
+		return p, nd.inQ[p].removeAt(&msgBufPool, i), true
 	}
 	return 0, Message{}, false
 }
 
-// Recv blocks until a message matching match is available, then
-// consumes and returns it. Non-matching messages stay buffered for
-// later Recv calls (selective receive).
-func (nd *Node) Recv(match MatchFunc) (int, Message) {
-	if p, m, ok := nd.TryRecv(match); ok {
+// Recv blocks until a message w accepts is available, then consumes and
+// returns it. Other messages stay buffered for later receives
+// (selective receive).
+func (nd *Node) Recv(w Want) (int, Message) {
+	if p, m, ok := nd.TryRecv(w); ok {
 		return p, m
 	}
-	nd.match = match
+	nd.want = w
 	nd.park(phaseRecv)
-	// The scheduler woke this node because the predicate held; it left
-	// the match position as a hint, saving the post-wake rescan. The
-	// hint is revalidated cheaply before use.
-	if p := int(nd.hintPort); p >= 0 {
-		i := int(nd.hintIdx)
-		nd.hintPort = -1
-		q := &nd.inQ[p]
-		if i < q.n && match(p, q.at(i)) {
-			return p, q.removeAt(&msgBufPool, i)
-		}
-	}
-	p, m, ok := nd.TryRecv(match)
-	if !ok {
-		panic(fmt.Sprintf("congest: node %d woken from Recv with no matching message", nd.id))
-	}
-	return p, m
+	// The scheduler wakes a receiving node only after its wake check
+	// found a match, and nothing touches the queues between that check
+	// and this activation, so the hint it left is the message to take.
+	p := int(nd.hintPort)
+	return p, nd.inQ[p].removeAt(&msgBufPool, int(nd.hintIdx))
 }
 
-// RecvKindTag is Recv with a MatchKindTag predicate.
-func (nd *Node) RecvKindTag(kind uint8, tag uint32) (int, Message) {
-	return nd.Recv(MatchKindTag(kind, tag))
+// find returns the position (port, index within the port's FIFO) of the
+// first buffered message w accepts, or (-1, -1). It walks only the ports
+// in w's scope, in ascending order, and each FIFO from its head: the one
+// scan behind TryRecv and the scheduler's wake check, so a hint the
+// scheduler records is exactly the message TryRecv would return.
+func (nd *Node) find(w *Want) (int, int) {
+	if w.ports != nil {
+		for _, p := range w.ports {
+			if i := nd.inQ[p].find(w); i >= 0 {
+				return p, i
+			}
+		}
+		return -1, -1
+	}
+	for p, hi := w.lo, min(w.hi, len(nd.inQ)); p < hi; p++ {
+		if i := nd.inQ[p].find(w); i >= 0 {
+			return p, i
+		}
+	}
+	return -1, -1
 }
 
 // Sleep parks the node for the given number of rounds (at least one).

@@ -18,7 +18,7 @@ type RoundRecord struct {
 	Delivered      int64
 	TotalDelivered int64
 	// Woken is the number of node activations scheduled for the next
-	// dispatch (satisfied Recv predicates plus due sleepers).
+	// dispatch (receivers whose pending Want matched plus due sleepers).
 	Woken int
 	// DirtyNodes is the cumulative number of nodes that have sent at
 	// least one message this run — the size of the dirty set the warm

@@ -32,6 +32,17 @@ func (q *queue) push(p *bufPool, m Message) {
 // at returns the i-th element in FIFO order without removing it.
 func (q *queue) at(i int) Message { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
+// find returns the FIFO index of the first message w accepts, or -1.
+func (q *queue) find(w *Want) int {
+	mask := len(q.buf) - 1
+	for i := 0; i < q.n; i++ {
+		if w.accepts(&q.buf[(q.head+i)&mask]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // pop removes and returns the head.
 func (q *queue) pop(p *bufPool) (Message, bool) {
 	if q.n == 0 {

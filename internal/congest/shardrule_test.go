@@ -25,7 +25,7 @@ func (w *shardWidths) ObserveRound(r congest.RoundRecord) {
 func exchangeOnce(nd *congest.Node) {
 	nd.SendAll(congest.Message{Kind: 1, A: int64(nd.ID())})
 	for i := 0; i < nd.Degree(); i++ {
-		nd.Recv(congest.MatchKind(1))
+		nd.Recv(congest.WantTag(0, 1))
 	}
 }
 

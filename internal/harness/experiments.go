@@ -250,7 +250,7 @@ func E5Baselines(cfg Config) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"Paper claim: (1+ε) beats GK13's (2+ε) at the same Õ(√n+D) round order; Su matches the approximation but (unlike ours) cannot certify exactness on small cuts. GK13 rounds are billed from their published bound (DESIGN.md §4).")
+		"Paper claim: (1+ε) beats GK13's (2+ε) at the same Õ(√n+D) round order; Su matches the approximation but (unlike ours) cannot certify exactness on small cuts. GK13 rounds are billed from their published bound (see baseline.GhaffariKuhnEmulated).")
 	return t
 }
 

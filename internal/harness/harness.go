@@ -1,9 +1,10 @@
 // Package harness defines the experiment suite that regenerates every
 // claim of the paper as a measured table (the paper, a brief
-// announcement, has no empirical tables of its own — EXPERIMENTS.md
-// maps each theoretical claim and the single figure to an experiment
-// here). cmd/bench renders all tables; bench_test.go exposes one
-// testing.B benchmark per experiment.
+// announcement, has no empirical tables of its own — the doc comment of
+// each experiment, E1Correctness through E9Ablation, names the
+// theoretical claim or figure it measures). cmd/bench renders all
+// tables; bench_test.go exposes one testing.B benchmark per experiment;
+// README.md's "Benchmarks" section lists the benchmark commands.
 package harness
 
 import (

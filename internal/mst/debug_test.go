@@ -10,8 +10,9 @@ import (
 )
 
 // TestDebugDeadlockTrace is a diagnostic for protocol hangs: it records
-// a phase mark per node and dumps the last mark of every node when the
-// run errors. Kept in the suite as cheap insurance — it fails only if
+// a phase mark per node around the production part 1, part 2 and
+// rooting, and dumps the last mark of every node when the run errors.
+// Kept in the suite as cheap insurance — it fails only if
 // the pipeline deadlocks.
 func TestDebugDeadlockTrace(t *testing.T) {
 	g := graph.Cycle(24)
@@ -19,7 +20,7 @@ func TestDebugDeadlockTrace(t *testing.T) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		nd.Mark(fmt.Sprintf("bfs-done:%d", nd.ID()))
 		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), tag: 100}
-		st := r.part1x(t)
+		st := r.part1()
 		nd.Mark(fmt.Sprintf("part1-done:%d frag=%d", nd.ID(), st.fragID))
 		inter := r.part2(st)
 		nd.Mark(fmt.Sprintf("part2-done:%d inter=%d", nd.ID(), len(inter)))
@@ -35,115 +36,5 @@ func TestDebugDeadlockTrace(t *testing.T) {
 			t.Logf("node %2d: %s", v, last[graph.NodeID(v)])
 		}
 		t.Fatal(err)
-	}
-}
-
-// part1x is part1 with per-iteration marks.
-func (r *runner) part1x(t *testing.T) *p1state {
-	nd := r.nd
-	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
-	for iter := 0; ; iter++ {
-		if iter > 40 {
-			panic("too many iterations")
-		}
-		tag := r.tag + uint32(iter)*16
-		ov := st.overlay()
-		nd.Mark(fmt.Sprintf("it%d-a-conv frag=%d par=%d ch=%v", iter, st.fragID, st.parentPort, st.childPorts))
-		size, _ := proto.Converge(nd, ov, tag+0, 1, proto.Sum)
-		var ctl int64
-		if ov.Root {
-			ctl = b2i(size >= int64(r.cap)) | b2i(nd.Rand().Intn(2) == 1)<<1
-		}
-		nd.Mark(fmt.Sprintf("it%d-b-bcast", iter))
-		ctl = proto.Broadcast(nd, ov, tag+1, ctl)
-		saturated := ctl&1 != 0
-		coinTail := ctl&2 != 0
-		unsat := int64(0)
-		if ov.Root && !saturated {
-			unsat = 1
-		}
-		nd.Mark(fmt.Sprintf("it%d-c-global", iter))
-		if proto.ConvergeBroadcast(nd, r.bfs, tag+2, unsat, proto.Sum) == 0 {
-			return st
-		}
-		nd.Mark(fmt.Sprintf("it%d-d-exchange", iter))
-		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: tag + 4, A: st.fragID})
-		peerFrag := make([]int64, nd.Degree())
-		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(congest.MatchKindTag(kindFragEx, tag+4))
-			peerFrag[p] = m.A
-		}
-		cand, candPort := noneItem, -1
-		for p := 0; p < nd.Degree(); p++ {
-			if peerFrag[p] == st.fragID {
-				continue
-			}
-			it := proto.Item{A: r.load(p), B: nd.EdgeWeight(p), C: PackUV(nd.ID(), nd.Peer(p)), D: peerFrag[p]}
-			if isNone(cand) || betterCand(cand, it) == it {
-				cand, candPort = it, p
-			}
-		}
-		proposing := false
-		var moeUV int64
-		if !saturated {
-			nd.Mark(fmt.Sprintf("it%d-e-moeconv", iter))
-			moe, _ := proto.ConvergeItem(nd, ov, tag+5, cand, betterCand)
-			var dec proto.Item
-			if ov.Root {
-				dec = proto.Item{A: b2i(coinTail && !isNone(moe)), B: moe.C}
-			}
-			nd.Mark(fmt.Sprintf("it%d-f-decbcast", iter))
-			dec = proto.BroadcastItem(nd, ov, tag+6, dec)
-			proposing = dec.A == 1
-			moeUV = dec.B
-		}
-		nd.Mark(fmt.Sprintf("it%d-g-propose proposing=%v", iter, proposing))
-		myProposePort := -1
-		for p := 0; p < nd.Degree(); p++ {
-			if proposing && p == candPort && cand.C == moeUV {
-				myProposePort = p
-				nd.Send(p, congest.Message{Kind: kindPropose, Tag: tag + 7, A: st.fragID})
-			} else {
-				nd.Send(p, congest.Message{Kind: kindNoPropose, Tag: tag + 7})
-			}
-		}
-		accept := saturated || !coinTail
-		var acceptedPorts []int
-		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(func(_ int, m congest.Message) bool {
-				return m.Tag == tag+7 && (m.Kind == kindPropose || m.Kind == kindNoPropose)
-			})
-			if m.Kind != kindPropose {
-				continue
-			}
-			if accept {
-				nd.Send(p, congest.Message{Kind: kindAccept, Tag: tag + 8, A: st.fragID})
-				acceptedPorts = append(acceptedPorts, p)
-			} else {
-				nd.Send(p, congest.Message{Kind: kindReject, Tag: tag + 8})
-			}
-		}
-		nd.Mark(fmt.Sprintf("it%d-h-reply myport=%d", iter, myProposePort))
-		if proposing {
-			merged, newFrag := false, int64(0)
-			if myProposePort >= 0 {
-				_, m := nd.Recv(func(p int, m congest.Message) bool {
-					return p == myProposePort && m.Tag == tag+8 && (m.Kind == kindAccept || m.Kind == kindReject)
-				})
-				if m.Kind == kindAccept {
-					merged, newFrag = true, m.A
-				}
-			}
-			nd.Mark(fmt.Sprintf("it%d-i-wave merged=%v", iter, merged))
-			r.outcomeWave(st, myProposePort, merged, newFrag, tag+9)
-		}
-		if len(acceptedPorts) > 0 {
-			st.childPorts = append(st.childPorts, acceptedPorts...)
-			for i := 1; i < len(st.childPorts); i++ {
-				for j := i; j > 0 && st.childPorts[j] < st.childPorts[j-1]; j-- {
-					st.childPorts[j], st.childPorts[j-1] = st.childPorts[j-1], st.childPorts[j]
-				}
-			}
-		}
 	}
 }

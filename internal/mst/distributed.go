@@ -223,14 +223,6 @@ func (r *runner) part1() *p1state {
 	if maxIter*16 >= 4096 {
 		maxIter = 4096/16 - 1 // keep part-1 tags below the part-2 range
 	}
-	// One fragment-exchange matcher for every iteration: the tag
-	// advances through the captured variable (stable while the node is
-	// parked), so the receive loop does not allocate a closure per
-	// message.
-	var exTag uint32
-	matchEx := func(_ int, m congest.Message) bool {
-		return m.Kind == kindFragEx && m.Tag == exTag
-	}
 	if r.peerFrag == nil {
 		r.peerFrag = make([]int64, nd.Degree())
 	}
@@ -242,11 +234,10 @@ func (r *runner) part1() *p1state {
 		ov := st.overlay()
 
 		// Exchange fragment IDs with all neighbors (tag+0).
-		exTag = tag
 		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: tag, A: st.fragID})
 		peerFrag := r.peerFrag
 		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(matchEx)
+			p, m := nd.Recv(congest.WantTag(tag, kindFragEx))
 			peerFrag[p] = m.A
 		}
 
@@ -323,9 +314,7 @@ func (r *runner) part1() *p1state {
 		accept := saturated || !coinTail
 		var acceptedPorts []int
 		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(func(_ int, m congest.Message) bool {
-				return m.Tag == tag+6 && (m.Kind == kindPropose || m.Kind == kindNoPropose)
-			})
+			p, m := nd.Recv(congest.WantTag(tag+6, kindPropose, kindNoPropose))
 			if m.Kind != kindPropose {
 				continue
 			}
@@ -343,10 +332,7 @@ func (r *runner) part1() *p1state {
 		if proposing {
 			merged, newFrag := false, int64(0)
 			if myProposePort >= 0 {
-				_, m := nd.Recv(func(p int, m congest.Message) bool {
-					return p == myProposePort && m.Tag == tag+7 &&
-						(m.Kind == kindAccept || m.Kind == kindReject)
-				})
+				_, m := nd.Recv(congest.WantTag(tag+7, kindAccept, kindReject).OnPort(myProposePort))
 				if m.Kind == kindAccept {
 					merged, newFrag = true, m.A
 				}
@@ -379,16 +365,7 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 		}
 		return
 	}
-	from, m := nd.Recv(func(p int, m congest.Message) bool {
-		if m.Kind != kindWave || m.Tag != tag {
-			return false
-		}
-		// oldPorts is sorted (st.ports); binary search keeps predicate
-		// evaluation O(log k) even at high-degree fragment heads, where
-		// many wave messages can be buffered at once.
-		i := sort.SearchInts(oldPorts, p)
-		return i < len(oldPorts) && oldPorts[i] == p
-	})
+	from, m := nd.Recv(congest.WantTag(tag, kindWave).OnPorts(oldPorts))
 	for _, p := range oldPorts {
 		if p != from {
 			nd.Send(p, m)
@@ -418,10 +395,6 @@ func (r *runner) part2(st *p1state) []InterEdge {
 	var inter []InterEdge
 	maxIter := 4 + 2*bitlen(nd.N())
 	base := r.tag + 4096 // disjoint from part 1 tags (checked in part1)
-	var exTag uint32
-	matchEx := func(_ int, m congest.Message) bool {
-		return m.Kind == kindFragEx && m.Tag == exTag
-	}
 	if r.peerFrag == nil {
 		r.peerFrag = make([]int64, nd.Degree())
 	}
@@ -435,11 +408,10 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		tag := base + uint32(iter)*8
 
 		// Exchange (logical, phys) with all neighbors.
-		exTag = tag
 		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: tag, A: logical, B: physID})
 		peerLogical, peerPhys := r.peerFrag, r.peerPhys
 		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(matchEx)
+			p, m := nd.Recv(congest.WantTag(tag, kindFragEx))
 			peerLogical[p], peerPhys[p] = m.A, m.B
 		}
 

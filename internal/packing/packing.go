@@ -15,7 +15,7 @@
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
 // correct but intractable beyond tiny λ; the default practical policy
 // uses c·λ·ln n trees, validated empirically in experiment E7 (see
-// EXPERIMENTS.md). Both are provided.
+// harness.E7Packing). Both are provided.
 package packing
 
 import (
@@ -283,7 +283,7 @@ func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tag uint32) 
 	nd.SendAll(congest.Message{Kind: kindSideBit, Tag: tag, A: bit})
 	var crossing int64
 	for i := 0; i < nd.Degree(); i++ {
-		p, m := nd.Recv(congest.MatchKindTag(kindSideBit, tag))
+		p, m := nd.Recv(congest.WantTag(tag, kindSideBit))
 		if m.A != bit {
 			crossing += nd.EdgeWeight(p)
 		}

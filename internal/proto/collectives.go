@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"sort"
 
 	"distmincut/internal/congest"
@@ -37,10 +38,9 @@ func SortItems(items []Item) {
 // commutative. O(height) rounds, one message per tree edge.
 func Converge(nd *congest.Node, ov *Overlay, tag uint32, value int64, combine func(a, b int64) int64) (int64, bool) {
 	acc := value
+	want := congest.WantTag(tag, kindWord).OnPorts(ov.ChildPorts)
 	for range ov.ChildPorts {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindWord && m.Tag == tag && isChildPort(ov, p)
-		})
+		_, m := nd.Recv(want)
 		acc = combine(acc, m.A)
 	}
 	if ov.Root {
@@ -54,9 +54,7 @@ func Converge(nd *congest.Node, ov *Overlay, tag uint32, value int64, combine fu
 // returns it. O(height) rounds, one message per tree edge.
 func Broadcast(nd *congest.Node, ov *Overlay, tag uint32, value int64) int64 {
 	if !ov.Root {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindWord && m.Tag == tag && p == ov.ParentPort
-		})
+		_, m := nd.Recv(congest.WantTag(tag, kindWord).OnPort(ov.ParentPort))
 		value = m.A
 	}
 	for _, c := range ov.ChildPorts {
@@ -102,11 +100,9 @@ func Gather(nd *congest.Node, ov *Overlay, tag uint32, mine []Item) []Item {
 			nd.Send(ov.ParentPort, congest.Message{Kind: kindItem, Tag: tag, A: it.A, B: it.B, C: it.C, D: it.D})
 		}
 	}
-	match := func(p int, m congest.Message) bool {
-		return (m.Kind == kindItem || m.Kind == kindEnd) && m.Tag == tag && isChildPort(ov, p)
-	}
+	want := congest.WantTag(tag, kindItem, kindEnd).OnPorts(ov.ChildPorts)
 	for ended := 0; ended < len(ov.ChildPorts); {
-		_, m := nd.Recv(match)
+		_, m := nd.Recv(want)
 		if m.Kind == kindEnd {
 			ended++
 			continue
@@ -139,13 +135,9 @@ func Flood(nd *congest.Node, ov *Overlay, tag uint32, items []Item) []Item {
 		return items
 	}
 	var got []Item
-	// One closure for the whole stream: allocating it per item made
-	// Flood the pipeline's top allocator at the million scale.
-	match := func(p int, m congest.Message) bool {
-		return (m.Kind == kindItem || m.Kind == kindEnd) && m.Tag == tag && p == ov.ParentPort
-	}
+	want := congest.WantTag(tag, kindItem, kindEnd).OnPort(ov.ParentPort)
 	for {
-		_, m := nd.Recv(match)
+		_, m := nd.Recv(want)
 		if m.Kind == kindEnd {
 			break
 		}
@@ -191,19 +183,14 @@ func KeyedSum(nd *congest.Node, ov *Overlay, tag uint32, keys []int64, mine map[
 		sums[j] = mine[k]
 	}
 	// Children's slots arrive in order on each port (FIFO); consume
-	// slot j from every child, then emit slot j upward. The predicate
-	// reads the current (slot, port) through captured variables so one
-	// closure serves every receive.
-	var slot int64
-	var port int
-	match := func(p int, m congest.Message) bool {
-		return m.Kind == kindSlot && m.Tag == tag && p == port && m.A == slot
-	}
+	// slot j from every child, then emit slot j upward.
+	want := congest.WantTag(tag, kindSlot)
 	for j := range keys {
-		slot = int64(j)
 		for _, c := range ov.ChildPorts {
-			port = c
-			_, m := nd.Recv(match)
+			_, m := nd.Recv(want.OnPort(c))
+			if m.A != int64(j) {
+				panic(fmt.Sprintf("proto: KeyedSum got slot %d from port %d, want slot %d", m.A, c, j))
+			}
 			sums[j] += m.B
 		}
 		if !ov.Root {
@@ -223,11 +210,4 @@ func KeyedSum(nd *congest.Node, ov *Overlay, tag uint32, keys []int64, mine map[
 		res[it.A] = it.B
 	}
 	return res
-}
-
-func isChildPort(ov *Overlay, p int) bool {
-	// ChildPorts is sorted and small; binary search keeps predicate
-	// evaluation cheap for the coordinator.
-	i := sort.SearchInts(ov.ChildPorts, p)
-	return i < len(ov.ChildPorts) && ov.ChildPorts[i] == p
 }

@@ -8,10 +8,9 @@ import "distmincut/internal/congest"
 // their subtree aggregate and false. O(height) rounds.
 func ConvergeItem(nd *congest.Node, ov *Overlay, tag uint32, mine Item, combine func(a, b Item) Item) (Item, bool) {
 	acc := mine
+	want := congest.WantTag(tag, kindItem).OnPorts(ov.ChildPorts)
 	for range ov.ChildPorts {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindItem && m.Tag == tag && isChildPort(ov, p)
-		})
+		_, m := nd.Recv(want)
 		acc = combine(acc, Item{m.A, m.B, m.C, m.D})
 	}
 	if ov.Root {
@@ -35,16 +34,11 @@ func ConvergeItem(nd *congest.Node, ov *Overlay, tag uint32, mine Item, combine 
 // Tags [tag, tag+len(mine)) are consumed.
 func ConvergeItemVec(nd *congest.Node, ov *Overlay, tag uint32, mine []Item, combine func(slot int, a, b Item) Item) ([]Item, bool) {
 	acc := append([]Item(nil), mine...)
-	// One closure for the whole wave; the slot tag advances through the
-	// captured variable.
-	var tj uint32
-	match := func(p int, m congest.Message) bool {
-		return m.Kind == kindItem && m.Tag == tj && isChildPort(ov, p)
-	}
 	for j := range acc {
-		tj = tag + uint32(j)
+		tj := tag + uint32(j)
+		want := congest.WantTag(tj, kindItem).OnPorts(ov.ChildPorts)
 		for range ov.ChildPorts {
-			_, m := nd.Recv(match)
+			_, m := nd.Recv(want)
 			acc[j] = combine(j, acc[j], Item{m.A, m.B, m.C, m.D})
 		}
 		if !ov.Root {
@@ -59,9 +53,7 @@ func ConvergeItemVec(nd *congest.Node, ov *Overlay, tag uint32, mine []Item, com
 // every node returns it. O(height) rounds.
 func BroadcastItem(nd *congest.Node, ov *Overlay, tag uint32, it Item) Item {
 	if !ov.Root {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindItem && m.Tag == tag && p == ov.ParentPort
-		})
+		_, m := nd.Recv(congest.WantTag(tag, kindItem).OnPort(ov.ParentPort))
 		it = Item{m.A, m.B, m.C, m.D}
 	}
 	for _, c := range ov.ChildPorts {

@@ -38,8 +38,8 @@ const (
 )
 
 // Overlay is one node's local view of a rooted tree: the port toward
-// its parent (-1 at the root), the ports toward its children, and its
-// depth. An overlay may span the whole network (BFS tree, spanning
+// its parent (-1 at the root), the ports toward its children (in
+// ascending order, the order receives scan them), and its depth. An overlay may span the whole network (BFS tree, spanning
 // tree) or one fragment of a partition; all primitives work on either.
 type Overlay struct {
 	Root       bool
@@ -82,12 +82,13 @@ func BuildBFS(nd *congest.Node, root graph.NodeID, tag uint32) *Overlay {
 	} else {
 		// Adopt the first explorer; same-round explorers are already
 		// buffered, so drain them to pick the lowest port.
-		p, m := nd.Recv(congest.MatchKindTag(kindExplore, tag))
+		explore := congest.WantTag(tag, kindExplore)
+		p, m := nd.Recv(explore)
 		ov.ParentPort = p
 		ov.Depth = int(m.A) + 1
 		responded[p] = true
 		for {
-			q, _, ok := nd.TryRecv(congest.MatchKindTag(kindExplore, tag))
+			q, _, ok := nd.TryRecv(explore)
 			if !ok {
 				break
 			}
@@ -122,14 +123,9 @@ func BuildBFS(nd *congest.Node, root graph.NodeID, tag uint32) *Overlay {
 			}
 		}
 	}
-	match := func(_ int, m congest.Message) bool {
-		if m.Tag != tag {
-			return false
-		}
-		return m.Kind == kindClaim || m.Kind == kindDecline || m.Kind == kindExplore
-	}
+	closing := congest.WantTag(tag, kindClaim, kindDecline, kindExplore)
 	for got < expect {
-		p, m := nd.Recv(match)
+		p, m := nd.Recv(closing)
 		got++
 		if m.Kind == kindClaim {
 			ov.ChildPorts = append(ov.ChildPorts, p)
@@ -158,13 +154,9 @@ func AdoptWave(nd *congest.Node, treePorts []int, isRoot bool, tag uint32) *Over
 		sort.Ints(ov.ChildPorts)
 		return ov
 	}
-	inTree := make(map[int]bool, len(treePorts))
-	for _, p := range treePorts {
-		inTree[p] = true
-	}
-	p, m := nd.Recv(func(p int, m congest.Message) bool {
-		return m.Kind == kindAdopt && m.Tag == tag && inTree[p]
-	})
+	scope := append([]int(nil), treePorts...)
+	sort.Ints(scope)
+	p, m := nd.Recv(congest.WantTag(tag, kindAdopt).OnPorts(scope))
 	ov.ParentPort = p
 	ov.Depth = int(m.A) + 1
 	for _, q := range treePorts {

@@ -38,19 +38,15 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 	treePorts := append([]int(nil), in.ChildPorts...)
 	if parentPort >= 0 {
 		treePorts = append(treePorts, parentPort)
+		sort.Ints(treePorts)
 	}
 	for _, p := range treePorts {
 		nd.Send(p, congest.Message{Kind: kindBootFrag, Tag: tag, A: fragID})
 	}
 	peerFrag := make(map[int]int64, len(treePorts))
-	inTree := make(map[int]bool, len(treePorts))
-	for _, p := range treePorts {
-		inTree[p] = true
-	}
+	want := congest.WantTag(tag, kindBootFrag).OnPorts(treePorts)
 	for range treePorts {
-		p, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindBootFrag && m.Tag == tag && inTree[p]
-		})
+		p, m := nd.Recv(want)
 		peerFrag[p] = m.A
 	}
 

@@ -1,6 +1,7 @@
 package respect
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -55,14 +56,9 @@ func (r *respectRun) step2a(out *Output) {
 	r.childDirHasFrag = make(map[int]bool, len(in.ChildPorts))
 	subFrags := append([]int64(nil), r.directChildFrags...)
 	pending := len(in.FragChildPorts)
-	inFragChild := make(map[int]bool, pending)
-	for _, p := range in.FragChildPorts {
-		inFragChild[p] = true
-	}
+	want := congest.WantTag(tag, kindFragList, kindFragEnd).OnPorts(r.fragOv.ChildPorts)
 	for pending > 0 {
-		p, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && inFragChild[p]
-		})
+		p, m := nd.Recv(want)
 		if m.Kind == kindFragEnd {
 			pending--
 			continue
@@ -119,10 +115,9 @@ func (r *respectRun) step2b(out *Output) {
 	send(int64(nd.ID()), 0)
 
 	if in.ParentPort >= 0 {
+		want := congest.WantTag(tag, kindAncID, kindAncEnd).OnPort(in.ParentPort)
 		for {
-			_, m := nd.Recv(func(p int, m congest.Message) bool {
-				return m.Tag == tag && (m.Kind == kindAncID || m.Kind == kindAncEnd) && p == in.ParentPort
-			})
+			_, m := nd.Recv(want)
 			if m.Kind == kindAncEnd {
 				break
 			}
@@ -173,10 +168,9 @@ func (r *respectRun) step2c(out *Output) {
 		send(int64(nd.ID()), f, 0)
 	}
 	if in.ParentPort >= 0 {
+		want := congest.WantTag(tag, kindFPair, kindFEnd).OnPort(in.ParentPort)
 		for {
-			_, m := nd.Recv(func(p int, m congest.Message) bool {
-				return m.Tag == tag && (m.Kind == kindFPair || m.Kind == kindFEnd) && p == in.ParentPort
-			})
+			_, m := nd.Recv(want)
 			if m.Kind == kindFEnd {
 				break
 			}
@@ -348,7 +342,7 @@ func (r *respectRun) step5(out *Output) {
 	}
 	peerFrag := make(map[int]int64, len(nonTree))
 	for range nonTree {
-		p, m := nd.Recv(congest.MatchKindTag(kindLCA1, r.tag+12))
+		p, m := nd.Recv(congest.WantTag(r.tag+12, kindLCA1))
 		peerFrag[p] = m.A
 	}
 
@@ -368,9 +362,7 @@ func (r *respectRun) step5(out *Output) {
 		}
 		peerSet := make(map[graph.NodeID]bool)
 		for {
-			_, m := nd.Recv(func(q int, m congest.Message) bool {
-				return m.Tag == r.tag+13 && (m.Kind == kindChain || m.Kind == kindChainEnd) && q == p
-			})
+			_, m := nd.Recv(congest.WantTag(r.tag+13, kindChain, kindChainEnd).OnPort(p))
 			if m.Kind == kindChainEnd {
 				break
 			}
@@ -405,9 +397,7 @@ func (r *respectRun) step5(out *Output) {
 		if peerFrag[p] == in.FragID {
 			continue
 		}
-		_, m := nd.Recv(func(q int, m congest.Message) bool {
-			return m.Kind == kindLCA2 && m.Tag == r.tag+14 && q == p
-		})
+		_, m := nd.Recv(congest.WantTag(r.tag+14, kindLCA2).OnPort(p))
 		myC3 := r.lowestAncestorContaining(out, peerFrag[p])
 		peerLowTP, peerC3 := graph.NodeID(m.A), graph.NodeID(m.B)
 		switch {
@@ -469,11 +459,15 @@ func (r *respectRun) fragAncestorSum(tokens map[graph.NodeID]int64) int64 {
 	for k := range outSlots {
 		outSlots[k] = tokens[chain[k+1]]
 	}
+	// Each child's slots arrive in order on its port (FIFO), so the
+	// next slot message from c is slot k.
+	want := congest.WantTag(tag, kindSlotFrag)
 	for k := 0; k < nSlots; k++ {
 		for _, c := range in.FragChildPorts {
-			_, m := nd.Recv(func(q int, m congest.Message) bool {
-				return m.Kind == kindSlotFrag && m.Tag == tag && q == c && m.A == int64(k)
-			})
+			_, m := nd.Recv(want.OnPort(c))
+			if m.A != int64(k) {
+				panic(fmt.Sprintf("respect: fragment ancestor sum got slot %d from port %d, want slot %d", m.A, c, k))
+			}
 			if k == 0 {
 				result += m.B
 			} else {

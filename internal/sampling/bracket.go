@@ -195,7 +195,7 @@ func packPeers(nd *congest.Node, p int) int64 {
 func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk int, tag uint32) bool {
 	reached := nd.ID() == 0
 	newly := int64(0)
-	match := congest.MatchKindTag(kindReach, tag)
+	match := congest.WantTag(tag, kindReach)
 	announce := func() {
 		for p, k := range keep {
 			if k {

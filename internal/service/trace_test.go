@@ -437,7 +437,7 @@ func TestExecProgressForwardsRecords(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					nd.SendAll(congest.Message{Kind: 1, Tag: uint32(i)})
 					for k := 0; k < nd.Degree(); k++ {
-						nd.Recv(congest.MatchKindTag(1, uint32(i)))
+						nd.Recv(congest.WantTag(uint32(i), 1))
 					}
 				}
 			})
